@@ -32,10 +32,3 @@ def members(mask: VertexSet) -> list[int]:
     """Sorted list of vertex ids in the set."""
     return list(iter_bits(mask))
 
-
-def lex_key(mask: VertexSet) -> tuple[int, ...]:
-    """Sort key realizing lexicographic order on sorted member tuples.
-
-    {0,5} sorts before {1,2}: the lowest vertex id decides first.
-    """
-    return tuple(iter_bits(mask))

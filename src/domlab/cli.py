@@ -144,9 +144,9 @@ def _cmd_verify(args, out) -> int:
         for s in suite_ids:
             if s not in SUITES:
                 raise DomlabError(f"unknown suite {s!r}; known: {', '.join(SUITES)}")
-    corpus = resolve_corpus(args.corpus, skip_bad=args.skip_bad)
     options = VerifyOptions(fail_fast=args.fail_fast,
                             literal_iii=args.literal_iii, jobs=args.jobs)
+    corpus = resolve_corpus(args.corpus, skip_bad=args.skip_bad)
     reports = run_suites(suite_ids, properties, corpus, options)
     for report in reports:
         emit_report(report, out)
@@ -206,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="comma list, e.g. I,O,F,UK,D:1")
     sp.add_argument("--corpus", required=True,
                     help=f"bundled:<name> ({', '.join(BUNDLED)}), g6:<file>, edges:<file>")
-    sp.add_argument("--jobs", type=int, default=1, help="worker processes")
+    sp.add_argument("--jobs", type=int, default=1, help="worker processes, at least 1")
     sp.add_argument("--out", default=None, help="write the report here")
     sp.add_argument("--fail-fast", action="store_true",
                     help="stop each suite at its first violation")

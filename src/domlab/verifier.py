@@ -7,13 +7,20 @@ property flags their statement assumes: running a suite outside its scope
 yields a "skip" status (never a silent pass), because a violation outside
 the hypotheses would be meaningless.
 
+Verification runs per graph: each graph is one task that runs every selected
+in-scope (suite, property) pair on it and computes each shared per-edge
+check once. With jobs > 1 the tasks run on a process pool and are merged
+back in corpus order; corpus-level suites (FLAG-audit) stay serial.
+
 Reports are deterministic: two runs over the same corpus and options produce
-identical output except for the elapsed field. With jobs > 1 the per-graph
-work is distributed over a process pool and merged back in corpus order.
+identical output except for the elapsed field, the summed time of the
+suite's per-graph checks. With jobs > 1 it can exceed the wall time, and a
+check shared by several suites is charged to the first that computes it.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import multiprocessing
 import time
@@ -53,6 +60,10 @@ class VerifyOptions:
     fail_fast: bool = False
     literal_iii: bool = False
     jobs: int = 1
+
+    def __post_init__(self):
+        if self.jobs < 1:
+            raise ValueError(f"jobs must be at least 1, got {self.jobs}")
 
 
 @dataclass
@@ -108,6 +119,23 @@ def _scope_any(p: PropertyDescriptor) -> str | None:
     return None
 
 
+@dataclass
+class _GraphTask:
+    """What the suites run on one graph share: the run's options and the
+    per-edge checks already computed on that graph. A task lives as long as
+    its graph's checks, so the memo needs no bound."""
+
+    options: VerifyOptions
+    _memo: dict = field(default_factory=dict)
+
+    def per_edge(self, check, g: Graph, e, p: PropertyDescriptor):
+        """check(g, e, p), computed once per (check, edge, property)."""
+        key = (check, e, p)
+        if key not in self._memo:
+            self._memo[key] = check(g, e, p)
+        return self._memo[key]
+
+
 def _record(g: Graph, **details) -> Violation:
     out = {"graph6": to_graph6(g)}
     out.update(details)
@@ -117,7 +145,7 @@ def _record(g: Graph, **details) -> Violation:
 # ---------------------------------------------------------------- suites --
 
 
-def _check_t1_bound(g: Graph, p: PropertyDescriptor, opt: VerifyOptions):
+def _check_t1_bound(g: Graph, p: PropertyDescriptor, task: _GraphTask):
     base = gamma_value(g, p)
     out = []
     for e in g.edges():
@@ -128,7 +156,7 @@ def _check_t1_bound(g: Graph, p: PropertyDescriptor, opt: VerifyOptions):
     return out
 
 
-def _check_t1_necessity(g: Graph, p: PropertyDescriptor, opt: VerifyOptions):
+def _check_t1_necessity(g: Graph, p: PropertyDescriptor, task: _GraphTask):
     base = gamma_value(g, p)
     out = []
     min_sets = None
@@ -142,7 +170,7 @@ def _check_t1_necessity(g: Graph, p: PropertyDescriptor, opt: VerifyOptions):
         if min_sets is None:
             min_sets = all_minimum_sets(g, p)
         for M in min_sets:
-            cond = check_theorem1_conditions(g, e, p, M, literal=opt.literal_iii)
+            cond = check_theorem1_conditions(g, e, p, M, literal=task.options.literal_iii)
             if not cond.any:
                 out.append(_record(
                     g, edge=list(e), minimum_set=members(M),
@@ -150,14 +178,14 @@ def _check_t1_necessity(g: Graph, p: PropertyDescriptor, opt: VerifyOptions):
     return out
 
 
-def _check_cor2_iff(g: Graph, p: PropertyDescriptor, opt: VerifyOptions):
+def _check_cor2_iff(g: Graph, p: PropertyDescriptor, task: _GraphTask):
     base = gamma_value(g, p)
     min_sets = all_minimum_sets(g, p)
     out = []
     for e in g.edges():
         lhs = gamma_value(subdivide_edge(g, e, 1), p) > base
         rhs = all(
-            check_theorem1_conditions(g, e, p, M, literal=opt.literal_iii).any
+            check_theorem1_conditions(g, e, p, M, literal=task.options.literal_iii).any
             for M in min_sets
         )
         if lhs != rhs:
@@ -166,7 +194,7 @@ def _check_cor2_iff(g: Graph, p: PropertyDescriptor, opt: VerifyOptions):
     return out
 
 
-def _check_t3_equiv(g: Graph, p: PropertyDescriptor, opt: VerifyOptions):
+def _check_t3_equiv(g: Graph, p: PropertyDescriptor, task: _GraphTask):
     base = gamma_value(g, p)
     out = []
     for e in g.edges():
@@ -178,7 +206,7 @@ def _check_t3_equiv(g: Graph, p: PropertyDescriptor, opt: VerifyOptions):
     return out
 
 
-def _check_cor4_classes(g: Graph, p: PropertyDescriptor, opt: VerifyOptions):
+def _check_cor4_classes(g: Graph, p: PropertyDescriptor, task: _GraphTask):
     edges = g.edges()
     if not edges:
         return []
@@ -191,7 +219,7 @@ def _check_cor4_classes(g: Graph, p: PropertyDescriptor, opt: VerifyOptions):
     return []
 
 
-def _check_t5_sandwich(g: Graph, p: PropertyDescriptor, opt: VerifyOptions):
+def _check_t5_sandwich(g: Graph, p: PropertyDescriptor, task: _GraphTask):
     out = []
     for e in g.edges():
         deleted = gamma_value(delete_edge(g, e), p)
@@ -202,50 +230,50 @@ def _check_t5_sandwich(g: Graph, p: PropertyDescriptor, opt: VerifyOptions):
     return out
 
 
-def _check_t5_a1a2(g: Graph, p: PropertyDescriptor, opt: VerifyOptions):
+def _check_t5_a1a2(g: Graph, p: PropertyDescriptor, task: _GraphTask):
     out = []
     for e in g.edges():
-        m = check_multi1(g, e, p)
+        m = task.per_edge(check_multi1, g, e, p)
         if m.a1 != m.a2:
             out.append(_record(g, edge=list(e), a1=m.a1, a2=m.a2,
                                detail="a1 and a2 differ"))
     return out
 
 
-def _check_t5_a1a3(g: Graph, p: PropertyDescriptor, opt: VerifyOptions):
+def _check_t5_a1a3(g: Graph, p: PropertyDescriptor, task: _GraphTask):
     out = []
     for e in g.edges():
-        m = check_multi1(g, e, p)
+        m = task.per_edge(check_multi1, g, e, p)
         if m.a1 != m.a3:
             out.append(_record(g, edge=list(e), a1=m.a1, a3=m.a3,
                                detail="a1 and a3 differ"))
     return out
 
 
-def _check_t6_iff(g: Graph, p: PropertyDescriptor, opt: VerifyOptions):
+def _check_t6_iff(g: Graph, p: PropertyDescriptor, task: _GraphTask):
     out = []
     for e in g.edges():
-        m = check_multi4(g, e, p)
+        m = task.per_edge(check_multi4, g, e, p)
         if not m.iff_holds:
             out.append(_record(g, edge=list(e), values=list(m.profile.values),
                                detail="triple-subdivision iff failed"))
     return out
 
 
-def _check_t6_chain(g: Graph, p: PropertyDescriptor, opt: VerifyOptions):
+def _check_t6_chain(g: Graph, p: PropertyDescriptor, task: _GraphTask):
     out = []
     for e in g.edges():
-        m = check_multi4(g, e, p)
+        m = task.per_edge(check_multi4, g, e, p)
         if m.chain is False:
             out.append(_record(g, edge=list(e), values=list(m.profile.values),
                                detail="seven-term profile chain failed"))
     return out
 
 
-def _check_t6_msd3(g: Graph, p: PropertyDescriptor, opt: VerifyOptions):
+def _check_t6_msd3(g: Graph, p: PropertyDescriptor, task: _GraphTask):
     out = []
     for e in g.edges():
-        m = check_multi4(g, e, p)
+        m = task.per_edge(check_multi4, g, e, p)
         if not m.msd_le_3:
             out.append(_record(g, edge=list(e), msd=str(m.profile.msd),
                                values=list(m.profile.values),
@@ -253,7 +281,7 @@ def _check_t6_msd3(g: Graph, p: PropertyDescriptor, opt: VerifyOptions):
     return out
 
 
-def _check_ta_vertex(g: Graph, p: PropertyDescriptor, opt: VerifyOptions):
+def _check_ta_vertex(g: Graph, p: PropertyDescriptor, task: _GraphTask):
     base = gamma_value(g, p)
     out = []
     for v in range(g.n):
@@ -286,11 +314,11 @@ def _check_ta_vertex(g: Graph, p: PropertyDescriptor, opt: VerifyOptions):
     return out
 
 
-def _check_tb_edgeadd(g: Graph, p: PropertyDescriptor, opt: VerifyOptions):
+def _check_tb_edgeadd(g: Graph, p: PropertyDescriptor, task: _GraphTask):
     base = gamma_value(g, p)
     out = []
     for e in g.edges():
-        m = check_multi1(g, e, p)
+        m = task.per_edge(check_multi1, g, e, p)
         if base < m.gamma_deleted and base != m.gamma_deleted - 1:
             out.append(_record(g, edge=list(e), gamma=base,
                                gamma_deleted=m.gamma_deleted,
@@ -302,7 +330,7 @@ def _check_tb_edgeadd(g: Graph, p: PropertyDescriptor, opt: VerifyOptions):
     return out
 
 
-def _check_tc_plus1(g: Graph, p: PropertyDescriptor, opt: VerifyOptions):
+def _check_tc_plus1(g: Graph, p: PropertyDescriptor, task: _GraphTask):
     base = gamma_value(g, p)
     out = []
     for e in g.edges():
@@ -336,7 +364,7 @@ def _check_tc_plus1(g: Graph, p: PropertyDescriptor, opt: VerifyOptions):
     return out
 
 
-def _check_oracle_equiv(g: Graph, p: PropertyDescriptor, opt: VerifyOptions):
+def _check_oracle_equiv(g: Graph, p: PropertyDescriptor, task: _GraphTask):
     fast = gamma(g, p)
     slow = gamma_oracle(g, p)
     out = []
@@ -415,46 +443,18 @@ def run_suite(
     options: VerifyOptions | None = None,
 ) -> SuiteReport:
     """Evaluate one suite over a corpus; violations carry replay data."""
-    if suite_id not in SUITES:
-        raise ValueError(f"unknown suite {suite_id!r}; known: {', '.join(SUITES)}")
-    opt = options or VerifyOptions()
-    suite = SUITES[suite_id]
-    started = time.perf_counter()
-    reason = suite.scope(p)
-    if reason is not None:
-        return SuiteReport(suite_id, p.key, "skip", reason=reason,
-                           elapsed=time.perf_counter() - started)
-    graphs = list(corpus)
-    violations: list[Violation] = []
-    checked = 0
-    if suite.per_graph is None:
-        violations = _run_flag_audit(p, graphs)
-        checked = len(graphs)
-    else:
-        for g in graphs:
-            checked += 1
-            violations.extend(suite.per_graph(g, p, opt))
-            if opt.fail_fast and violations:
-                break
-    status = "pass" if not violations else "fail"
-    return SuiteReport(suite_id, p.key, status, graphs_checked=checked,
-                       violations=violations,
-                       elapsed=time.perf_counter() - started)
+    return run_suites([suite_id], [p], corpus, options)[0]
 
 
-# ------------------------------------------------- parallel orchestration --
-
-_WORKER_STATE: dict = {}
-
-
-def _init_worker(options: VerifyOptions):
-    _WORKER_STATE["options"] = options
-
-
-def _graph_task(args):
-    suite_id, prop, g = args
-    check = SUITES[suite_id].per_graph
-    return check(g, prop, _WORKER_STATE["options"])
+def _check_graph(pairs, options: VerifyOptions, g: Graph):
+    """One task: (violations, seconds) of each (suite, property) pair on g."""
+    task = _GraphTask(options)
+    out = []
+    for suite_id, p in pairs:
+        started = time.perf_counter()
+        hits = SUITES[suite_id].per_graph(g, p, task)
+        out.append((hits, time.perf_counter() - started))
+    return out
 
 
 def run_suites(
@@ -465,48 +465,54 @@ def run_suites(
 ) -> list[SuiteReport]:
     """Run each suite for each property; reports in (suite, property) order.
 
-    With options.jobs > 1, per-graph checks are distributed over a process
-    pool; violation lists are merged in corpus order, so the output is
-    identical to a serial run.
+    Per-graph suites run graph by graph, all in-scope pairs in one task per
+    graph; with options.jobs > 1 the tasks go to a process pool and come
+    back in corpus order, so the output is identical to a serial run. With
+    fail_fast, a pair ignores the graphs after its first violating one.
     """
     opt = options or VerifyOptions()
     graphs = list(corpus)
-    reports = []
-    pool = None
+    reports, pairs, pending = [], [], []  # pending: reports of the pairs
+    for suite_id in suite_ids:
+        if suite_id not in SUITES:
+            raise ValueError(f"unknown suite {suite_id!r}; known: {', '.join(SUITES)}")
+        suite = SUITES[suite_id]
+        for p in properties:
+            started = time.perf_counter()
+            reason = suite.scope(p)
+            report = SuiteReport(suite_id, p.key, "pass" if reason is None else "skip",
+                                 reason=reason or "")
+            reports.append(report)
+            if reason is None and suite.per_graph is not None:
+                pairs.append((suite_id, p))
+                pending.append(report)
+                continue
+            if reason is None:
+                report.violations = _run_flag_audit(p, graphs)
+                report.graphs_checked = len(graphs)
+            report.elapsed = time.perf_counter() - started
+    check = functools.partial(_check_graph, tuple(pairs), opt)
+    pool = multiprocessing.Pool(opt.jobs) if pairs and opt.jobs > 1 else None
     try:
-        if opt.jobs > 1:
-            pool = multiprocessing.Pool(opt.jobs, initializer=_init_worker,
-                                        initargs=(opt,))
-        for suite_id in suite_ids:
-            suite = SUITES[suite_id]
-            for p in properties:
-                if pool is None or suite.per_graph is None:
-                    reports.append(run_suite(suite_id, p, graphs, opt))
-                    continue
-                started = time.perf_counter()
-                reason = suite.scope(p)
-                if reason is not None:
-                    reports.append(SuiteReport(
-                        suite_id, p.key, "skip", reason=reason,
-                        elapsed=time.perf_counter() - started))
-                    continue
-                violations: list[Violation] = []
-                checked = 0
-                tasks = ((suite_id, p, g) for g in graphs)
-                for hits in pool.imap(_graph_task, tasks, chunksize=8):
-                    checked += 1
-                    violations.extend(hits)
-                    if opt.fail_fast and violations:
-                        break
-                status = "pass" if not violations else "fail"
-                reports.append(SuiteReport(
-                    suite_id, p.key, status, graphs_checked=checked,
-                    violations=violations,
-                    elapsed=time.perf_counter() - started))
+        outcomes = pool.imap(check, graphs, chunksize=4) if pool else map(check, graphs)
+        open_pairs = range(len(pairs))
+        for outcome in outcomes:
+            for i in open_pairs:
+                hits, seconds = outcome[i]
+                pending[i].graphs_checked += 1
+                pending[i].violations.extend(hits)
+                pending[i].elapsed += seconds
+            if opt.fail_fast:
+                open_pairs = [i for i in open_pairs if not pending[i].violations]
+                if not open_pairs:
+                    break
     finally:
         if pool is not None:
             pool.terminate()
             pool.join()
+    for report in reports:
+        if report.violations:
+            report.status = "fail"
     return reports
 
 

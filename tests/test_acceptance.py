@@ -30,6 +30,7 @@ from domlab import (
     path,
     profile,
     run_suite,
+    run_suites,
     s_class,
     star,
     subdivide_edge,
@@ -128,9 +129,9 @@ def test_criterion_05_triple_subdivision_sandwich(n6c):
 
 
 def test_criterion_06_multisubdivision_master(n7c):
-    bad = []
-    for suite in ("T6-iff", "T6-chain", "T6-msd3"):
-        bad += run_all(suite, HEREDITARY_FOUR, n7c)
+    reports = run_suites(["T6-iff", "T6-chain", "T6-msd3"], HEREDITARY_FOUR, n7c)
+    bad = [(r.suite, r.property_key, r.status, r.violations[:3])
+           for r in reports if r.status != "pass"]
     report(6, not bad,
            f"triple-subdivision iff, forced seven-term chain, and msd <= 3 "
            f"on {len(n7c)} connected graphs x 4 properties {bad or ''}")

@@ -161,6 +161,14 @@ class TestVerify:
                                "--properties", "I", "--corpus", f"g6:{f}")
         assert code == 2 and "unknown suite" in err
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exit_2(self, capsys, jobs):
+        code, out, err = run_cli(capsys, "verify", "--suites", "T1-bound",
+                                 "--properties", "I", "--corpus", "bundled:paths14",
+                                 "--jobs", jobs)
+        assert code == 2 and out == ""
+        assert "jobs must be at least 1" in err
+
     def test_out_file_and_bundled_corpus(self, capsys, tmp_path):
         report = tmp_path / "report.jsonl"
         code, out, _ = run_cli(

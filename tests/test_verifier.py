@@ -21,11 +21,13 @@ from domlab import (
     emit_report,
     ingest_corpus,
     load_corpus,
+    parse_property,
     path,
     run_suite,
     run_suites,
     scan_counterexamples,
     star,
+    to_graph6,
 )
 
 SMALL = [path(2), path(3), cycle(3), cycle(4), star(3)]
@@ -135,6 +137,68 @@ class TestReports:
             da, db = a.to_json_dict(), b.to_json_dict()
             da.pop("elapsed"), db.pop("elapsed")
             assert da == db
+
+
+def _without_elapsed(reports):
+    out = []
+    for r in reports:
+        d = r.to_json_dict()
+        d.pop("elapsed")
+        out.append(d)
+    return out
+
+
+class TestPerGraphLoop:
+    def test_jobs_and_per_pair_runs_agree(self):
+        corpus = load_corpus("n5all")
+        suites = [s for s, suite in SUITES.items() if suite.per_graph is not None]
+        props = [parse_property(k) for k in ("I", "O", "F", "UK", "D:1")]
+        serial = _without_elapsed(run_suites(suites, props, corpus))
+        assert len(suites) == 15 and len(serial) == 75
+        assert serial == _without_elapsed(
+            run_suites(suites, props, corpus, VerifyOptions(jobs=2)))
+        assert serial == _without_elapsed(
+            [run_suite(s, p, corpus) for s in suites for p in props])
+
+    def test_per_edge_check_runs_once_per_edge_and_property(self, monkeypatch):
+        from domlab import verifier
+
+        calls = []
+        real = verifier.check_multi4
+
+        def counting(g, e, p):
+            calls.append((to_graph6(g), e, p.key))
+            return real(g, e, p)
+
+        monkeypatch.setattr(verifier, "check_multi4", counting)
+        corpus = load_corpus("n5all")[:20]
+        props = [ANY_GRAPH, EDGELESS]
+        run_suites(["T6-iff", "T6-chain", "T6-msd3"], props, corpus)
+        assert calls == [(to_graph6(g), e, p.key)
+                         for g in corpus for p in props for e in g.edges()]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_fail_fast_stops_only_the_failing_pair(self, monkeypatch, jobs):
+        from domlab import verifier
+
+        corpus = load_corpus("n5all")[:12]
+        k = 7
+        target = to_graph6(corpus[k])
+        probe = verifier._Suite(
+            lambda p: None,
+            lambda g, p, task: ([{"graph6": target, "detail": "probe"}]
+                                if to_graph6(g) == target else []),
+        )
+        monkeypatch.setitem(SUITES, "TEST-probe", probe)
+        opt = VerifyOptions(fail_fast=True, jobs=jobs)
+        alone = run_suites(["T3-equiv"], [ANY_GRAPH], corpus, opt)
+        failed, real = run_suites(["TEST-probe", "T3-equiv"], [ANY_GRAPH],
+                                  corpus, opt)
+        assert failed.status == "fail"
+        assert failed.graphs_checked == k + 1
+        assert failed.violations == [{"graph6": target, "detail": "probe"}]
+        assert _without_elapsed([real]) == _without_elapsed(alone)
+        assert real.graphs_checked == len(corpus)
 
 
 class TestScans:
