@@ -5,13 +5,27 @@ the subgraph induced by S has property p; it is None (undefined) when no
 such set exists, which can only happen for properties that are not
 nondegenerate (e.g. "connected" on a disconnected graph).
 
-The main solver runs iterative deepening over the target cardinality. Inside
-each depth-limited search it picks an undominated vertex with the fewest
-candidate dominators and branches on its closed neighborhood; for
-induced-hereditary properties, partial sets whose induced subgraph already
-lacks the property are pruned (sound: induced subgraphs of supersets contain
-them). For the two non-monotone catalog properties the search instead grows
-a dominating set until the property appears.
+The value comes from iterative deepening over the target cardinality, from
+ceil(n / (max degree + 1)) up. Each depth-limited search (_Search.find)
+takes one of three forms, chosen by the property:
+
+* I, O, F, UK, D:k branch on the closed neighborhood of the undominated
+  vertex with the fewest candidate dominators. Their predicates are
+  induced-hereditary, so a partial set that already lacks the property is
+  pruned (sound: induced subgraphs of supersets contain it).
+* T runs the same search over open neighborhoods: a set whose open
+  neighborhoods cover every vertex dominates and has no isolated vertex.
+* C branches its root the same way, then grows the set along its frontier
+  N(S) - S, each branch excluding the vertices tried before it. It is cut
+  when the undominated vertices outnumber what the budget can dominate, or
+  when one of them lies at distance d from S with d - 1 > budget, since it
+  needs d - 1 more vertices.
+
+find takes a forced start set and a mask of the vertices it may add. gamma
+builds its lexicographically least witness one member at a time: the
+smallest u such that the members so far plus u, completed with vertices
+above u, still reach the minimum size. Forced members may be disconnected;
+C then accepts only a dominating superset that induces one component.
 
 gamma_oracle is the independent cross-check: plain subset enumeration in
 increasing cardinality with no pruning, capped at n <= 20.
@@ -31,7 +45,7 @@ from functools import lru_cache
 
 from .bitset import VertexSet, bitmask, iter_bits
 from .errors import OracleCapError, UndefinedGammaError
-from .graph import Graph, components, delete_vertex
+from .graph import Graph, components_within, delete_vertex
 from .properties import PropertyDescriptor, holds_induced
 
 ORACLE_MAX_N = 20
@@ -60,87 +74,120 @@ def is_dominating(g: Graph, S: VertexSet) -> bool:
 
 
 class _Search:
-    """Depth-limited dominating-set search over one (graph, property) pair."""
+    """Depth-limited dominating-set search over one (graph, property) pair.
+
+    C grows a connected set along its frontier; every other property runs a
+    cover search, over open neighborhoods for T and over closed ones with
+    induced-hereditary pruning otherwise.
+    """
 
     def __init__(self, g: Graph, p: PropertyDescriptor):
         self.g = g
         self.p = p
         self.full = g.vertex_mask
         self.closed = tuple(g.adj[v] | (1 << v) for v in range(g.n))
-        self.sizes = tuple(c.bit_count() for c in self.closed)
-        self.max_closed = max(self.sizes, default=1)
-        self.prune = p.induced_hereditary
+        self.max_closed = max((c.bit_count() for c in self.closed), default=1)
+        # a dominating set without isolated vertices is a total dominating
+        # set: every vertex, chosen ones included, needs a chosen neighbor
+        self.prune = p.id != "T"
+        self.rows = self.closed if self.prune else g.adj
+        self.max_row = max((r.bit_count() for r in self.rows), default=1)
 
-    def find(self, budget: int, start_set: VertexSet = 0) -> VertexSet | None:
-        """Any dominating p-set containing start_set plus <= budget more vertices."""
+    def find(self, budget: int, start_set: VertexSet = 0,
+             allowed: VertexSet | None = None) -> VertexSet | None:
+        """Any dominating p-set containing start_set plus <= budget more
+        vertices, each added vertex taken from allowed (default: all)."""
+        self.allowed = self.full if allowed is None else allowed
+        cover = 0
+        for v in iter_bits(start_set):
+            cover |= self.rows[v]
+        if self.p.id == "C":
+            return self._connected(start_set, cover, 0, budget)
         if self.prune and not holds_induced(self.p, self.g, start_set):
             return None
-        dom = start_set
-        for v in iter_bits(start_set):
-            dom |= self.g.adj[v]
         self._best_budget: dict[int, int] = {}
-        return self._descend(start_set, dom, budget)
+        return self._cover(start_set, cover, budget)
 
-    def _descend(self, S, dom, budget):
-        if dom == self.full:
-            if self.prune or holds_induced(self.p, self.g, S):
-                return S
-            return self._grow(S, 0, budget)
+    def _fewest_candidates(self, uncovered, avail):
+        # the candidates of the uncovered vertex that has the fewest of them
+        best, fanout = 0, self.g.n + 1
+        for v in iter_bits(uncovered):
+            cand = self.rows[v] & avail
+            size = cand.bit_count()
+            if size < fanout:
+                best, fanout = cand, size
+                if size <= 1:
+                    break
+        return best
+
+    def _cover(self, S, cover, budget):
+        if cover == self.full:
+            return S
         if budget <= 0:
             return None
         seen = self._best_budget.get(S)
         if seen is not None and seen >= budget:
             return None
         self._best_budget[S] = budget
-        undominated = self.full & ~dom
-        if undominated.bit_count() > budget * self.max_closed:
+        uncovered = self.full & ~cover
+        if uncovered.bit_count() > budget * self.max_row:
             return None
-        branch, fanout = -1, self.g.n + 2
-        for v in iter_bits(undominated):
-            if self.sizes[v] < fanout:
-                branch, fanout = v, self.sizes[v]
-                if fanout == 1:
-                    break
-        for u in iter_bits(self.closed[branch]):
+        for u in iter_bits(self._fewest_candidates(uncovered, self.allowed)):
             S2 = S | (1 << u)
             if self.prune and not holds_induced(self.p, self.g, S2):
                 continue
-            hit = self._descend(S2, dom | self.closed[u], budget - 1)
+            hit = self._cover(S2, cover | self.rows[u], budget - 1)
             if hit is not None:
                 return hit
         return None
 
-    def _grow(self, S, start, budget):
-        # already dominating; add vertices until the property holds
-        if holds_induced(self.p, self.g, S):
+    def _connected(self, S, dom, excluded, budget):
+        # a branch excludes the options tried before it, so every connected
+        # superset of S is reached at most once
+        if dom == self.full and len(components_within(self.g, S)) == 1:
             return S
         if budget <= 0:
             return None
-        for u in range(start, self.g.n):
-            if (S >> u) & 1:
-                continue
-            hit = self._grow(S | (1 << u), u + 1, budget - 1)
+        undominated = self.full & ~dom
+        if undominated.bit_count() > budget * self.max_closed:
+            return None
+        avail = self.allowed & ~excluded & ~S
+        if S:
+            options = dom & avail  # the frontier N(S) \ S
+            if undominated and not self._within_reach(undominated, options, avail, budget):
+                return None
+        else:
+            options = self._fewest_candidates(undominated, avail)
+        for u in iter_bits(options):
+            hit = self._connected(S | (1 << u), dom | self.closed[u], excluded, budget - 1)
             if hit is not None:
                 return hit
+            excluded |= 1 << u
         return None
 
-
-def _clearly_undefined(g: Graph, p: PropertyDescriptor) -> bool:
-    # shortcuts for the non-nondegenerate catalog entries; the generic
-    # deepening loop would reach the same answer, just slower
-    if p.id == "C":
-        return len(components(g)) != 1
-    if p.id == "T":
-        return any(g.adj[v] == 0 for v in range(g.n))
-    return False
+    def _within_reach(self, undominated, frontier, avail, budget):
+        # an undominated vertex at distance d from S needs a dominator at
+        # distance d - 1, i.e. d - 1 more vertices: walk `budget` layers out
+        # from S through addable vertices
+        layer, seen = frontier, frontier
+        for _ in range(budget):
+            if not layer:
+                return False
+            reach = 0
+            for v in iter_bits(layer):
+                reach |= self.closed[v]
+            undominated &= ~reach
+            if not undominated:
+                return True
+            layer = reach & avail & ~seen
+            seen |= layer
+        return False
 
 
 @lru_cache(maxsize=1 << 17)
 def _gamma_value(g: Graph, p: PropertyDescriptor) -> int | None:
     if g.n == 0:
         return 0 if holds_induced(p, g, 0) else None
-    if _clearly_undefined(g, p):
-        return None
     search = _Search(g, p)
     floor = max(1, -(-g.n // search.max_closed))
     for k in range(floor, g.n + 1):
@@ -154,7 +201,7 @@ def gamma_value(g: Graph, p: PropertyDescriptor) -> int | None:
     return _gamma_value(g, p)
 
 
-def _enumerate_at(g, p, k, first_only):
+def _enumerate_at(g, p, k):
     """Dominating p-sets of size exactly k, ascending-lexicographic order."""
     full = g.vertex_mask
     closed = tuple(g.adj[v] | (1 << v) for v in range(g.n))
@@ -178,11 +225,24 @@ def _enumerate_at(g, p, k, first_only):
             if prune and not holds_induced(p, g, S2):
                 continue
             rec(S2, dom | closed[u], u + 1, budget - 1)
-            if out and first_only:
-                return
 
     rec(0, 0, 0, k)
     return out
+
+
+def _least_witness(g: Graph, p: PropertyDescriptor, value: int) -> VertexSet:
+    # Fix the members one slot at a time: each slot takes the smallest u for
+    # which the prefix plus u, completed only with vertices above u, still
+    # reaches a dominating p-set of size value.
+    search = _Search(g, p)
+    prefix, low = 0, 0
+    for remaining in range(value - 1, -1, -1):
+        for u in range(low, g.n - remaining):
+            above = g.vertex_mask & ~((2 << u) - 1)
+            if search.find(remaining, prefix | (1 << u), above) is not None:
+                prefix, low = prefix | (1 << u), u + 1
+                break
+    return prefix
 
 
 def gamma(g: Graph, p: PropertyDescriptor) -> GammaResult:
@@ -190,8 +250,7 @@ def gamma(g: Graph, p: PropertyDescriptor) -> GammaResult:
     value = _gamma_value(g, p)
     if value is None:
         return GammaResult(None, None, p, g.label)
-    witness = _enumerate_at(g, p, value, first_only=True)[0]
-    return GammaResult(value, witness, p, g.label)
+    return GammaResult(value, _least_witness(g, p, value), p, g.label)
 
 
 def gamma_oracle(g: Graph, p: PropertyDescriptor) -> GammaResult:
@@ -213,7 +272,7 @@ def all_minimum_sets(g: Graph, p: PropertyDescriptor) -> list[VertexSet]:
         raise UndefinedGammaError(
             f"gamma is undefined for property {p.key} on this graph"
         )
-    return _enumerate_at(g, p, value, first_only=False)
+    return _enumerate_at(g, p, value)
 
 
 def in_some_minimum_set(g: Graph, p: PropertyDescriptor, v: int) -> bool:

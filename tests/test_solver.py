@@ -2,12 +2,16 @@
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from domlab import (
     ANY_GRAPH,
+    CATALOG,
+    CLIQUE_COMPONENTS,
     CONNECTED,
     EDGELESS,
     FOREST,
+    NO_ISOLATED,
     Graph,
     OracleCapError,
     UndefinedGammaError,
@@ -37,8 +41,8 @@ from domlab.corpus import load_corpus
 from test_graph import small_graphs
 
 TWO_K2 = Graph.from_edges(4, [(0, 1), (2, 3)])
-ALL_PROPS = [ANY_GRAPH, EDGELESS, CONNECTED, FOREST,
-             max_degree(1), max_degree(2)]
+ALL_PROPS = [ANY_GRAPH, EDGELESS, CONNECTED, NO_ISOLATED, FOREST,
+             CLIQUE_COMPONENTS, max_degree(1), max_degree(2)]
 
 
 class TestIsDominating:
@@ -160,6 +164,19 @@ class TestInSomeMinimumSet:
                 for v in range(g.n):
                     assert in_some_minimum_set(g, p, v) == bool((present >> v) & 1)
 
+    def test_matches_enumeration_connected_and_total(self):
+        # C and T search from a forced start vertex, not by closed-row pruning
+        for g in load_corpus("n6all"):
+            for p in (CONNECTED, NO_ISOLATED):
+                if gamma_value(g, p) is None:
+                    continue
+                present = 0
+                for S in all_minimum_sets(g, p):
+                    present |= S
+                for v in range(g.n):
+                    assert in_some_minimum_set(g, p, v) == bool((present >> v) & 1), (
+                        g.label, p.key, v)
+
     def test_undefined_raises(self):
         with pytest.raises(UndefinedGammaError):
             in_some_minimum_set(TWO_K2, CONNECTED, 0)
@@ -189,10 +206,49 @@ class TestSolverOracleAgreement:
     @given(small_graphs(max_n=6))
     @settings(max_examples=40, deadline=None)
     def test_random_graphs(self, g):
-        for p in (ANY_GRAPH, EDGELESS, CONNECTED, max_degree(1)):
+        for p in (ANY_GRAPH, EDGELESS, CONNECTED, NO_ISOLATED,
+                  CLIQUE_COMPONENTS, max_degree(1)):
             fast, slow = gamma(g, p), gamma_oracle(g, p)
             assert fast.value == slow.value
             assert fast.witness == slow.witness
+
+
+class TestClosedFormsBeyondOracle:
+    """Known values on paths and cycles above the oracle's n <= 20 cap."""
+
+    ORDERS = (24, 32, 40)
+
+    @staticmethod
+    def check(g, p, expected):
+        result = gamma(g, p)
+        assert result.value == expected, (g.label, p.key)
+        assert is_dominating(g, result.witness)
+        assert holds_induced(p, g, result.witness)
+        assert result.witness.bit_count() == expected
+
+    @pytest.mark.parametrize("n", ORDERS)
+    def test_connected_paths_and_cycles(self, n):
+        self.check(path(n), CONNECTED, n - 2)
+        self.check(cycle(n), CONNECTED, n - 2)
+
+    @pytest.mark.parametrize("n", ORDERS)
+    def test_total_cycles(self, n):
+        self.check(cycle(n), NO_ISOLATED, n // 2 + -(-n // 4) - n // 4)
+
+    @pytest.mark.parametrize("n", ORDERS)
+    def test_plain_and_independent_paths_and_cycles(self, n):
+        for g in (path(n), cycle(n)):
+            for p in (ANY_GRAPH, EDGELESS):
+                self.check(g, p, -(-n // 3))
+
+
+@given(small_graphs(max_n=9), st.data())
+@settings(max_examples=40, deadline=None)
+def test_relabeling_invariance(g, data):
+    perm = data.draw(st.permutations(range(g.n)))
+    relabeled = Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+    for p in CATALOG:
+        assert gamma_value(relabeled, p) == gamma_value(g, p), p.key
 
 
 @given(small_graphs(max_n=7))
