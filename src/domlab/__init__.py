@@ -108,7 +108,6 @@ from .verifier import (
     VerifyOptions,
     all_reports_pass,
     emit_report,
-    ingest_corpus,
     run_suite,
     run_suites,
     scan_counterexamples,

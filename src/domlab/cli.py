@@ -44,17 +44,13 @@ def _jsonable(x):
     return x
 
 
-def _input_graphs(spec: str, skip_bad: bool) -> list:
-    return resolve_corpus(spec, skip_bad=skip_bad)
-
-
 def _emit(line: dict, out) -> None:
     out.write(json.dumps(line) + "\n")
 
 
 def _cmd_gamma(args, out) -> int:
     p = parse_property(args.property)
-    for g in _input_graphs(args.input, args.skip_bad):
+    for g in resolve_corpus(args.input, skip_bad=args.skip_bad):
         result = gamma(g, p)
         _emit({
             "graph": to_graph6(g),
@@ -67,7 +63,7 @@ def _cmd_gamma(args, out) -> int:
 
 def _cmd_classify(args, out) -> int:
     p = parse_property(args.property)
-    for g in _input_graphs(args.input, args.skip_bad):
+    for g in resolve_corpus(args.input, skip_bad=args.skip_bad):
         g6 = to_graph6(g)
         for e in g.edges():
             c = classify_edge(g, e, p, literal=args.literal_iii)
@@ -96,7 +92,7 @@ def _cmd_classify(args, out) -> int:
 
 def _cmd_msd(args, out) -> int:
     p = parse_property(args.property)
-    for g in _input_graphs(args.input, args.skip_bad):
+    for g in resolve_corpus(args.input, skip_bad=args.skip_bad):
         g6 = to_graph6(g)
         for e in g.edges():
             pr = profile(g, e, p, cap=args.cap)
@@ -126,7 +122,7 @@ def _cmd_msd(args, out) -> int:
 
 def _cmd_sclass(args, out) -> int:
     p = parse_property(args.property)
-    for g in _input_graphs(args.input, args.skip_bad):
+    for g in resolve_corpus(args.input, skip_bad=args.skip_bad):
         _emit({
             "graph": to_graph6(g),
             "property": p.key,
@@ -144,6 +140,8 @@ def _cmd_verify(args, out) -> int:
         for s in suite_ids:
             if s not in SUITES:
                 raise DomlabError(f"unknown suite {s!r}; known: {', '.join(SUITES)}")
+    if not properties or not suite_ids:
+        raise DomlabError("empty selection: --suites and --properties each need an entry")
     options = VerifyOptions(fail_fast=args.fail_fast,
                             literal_iii=args.literal_iii, jobs=args.jobs)
     corpus = resolve_corpus(args.corpus, skip_bad=args.skip_bad)

@@ -20,9 +20,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .bitset import VertexSet
-from .errors import ScopeError
 from .graph import Edge, Graph, delete_edge, private_neighbors, subdivide_edge
-from .properties import ANY_GRAPH, PropertyDescriptor, holds_induced
+from .properties import ANY_GRAPH, PropertyDescriptor, holds_induced, require
 from .solver import all_minimum_sets, gamma_value, is_dominating
 
 
@@ -148,14 +147,14 @@ def is_s_plus_critical_iff_conditions(
     g: Graph, e: Edge, p: PropertyDescriptor = ANY_GRAPH, literal: bool = False
 ) -> IffCheck:
     """Both sides of the S+-criticality characterization (proved for the
-    unrestricted property; other properties are accepted for exploration)."""
-    base = gamma_value(g, p)
-    subdivided = gamma_value(subdivide_edge(g, e, 1), p)
-    lhs = base is not None and subdivided is not None and subdivided > base
-    rhs = base is not None and all(
-        check_theorem1_conditions(g, e, p, M, literal=literal).any
-        for M in all_minimum_sets(g, p)
-    )
+    unrestricted property; other properties are accepted for exploration).
+
+    Unlike classify_edge's s_plus, lhs needs no gamma of G-e: it holds when
+    gamma of G and of the subdivided graph exist and the subdivision raises it.
+    """
+    c = classify_edge(g, e, p, literal=literal)
+    lhs = None not in (c.gamma, c.gamma_subdivided) and c.gamma_subdivided > c.gamma
+    rhs = c.gamma is not None and all(cond.any for _, cond in c.condition_report)
     return IffCheck(lhs, rhs)
 
 
@@ -170,19 +169,9 @@ def s_minus_equiv_er_minus(g: Graph, e: Edge, p: PropertyDescriptor) -> MinusChe
     Requires an induced-hereditary property closed under union with K1;
     outside that scope the equivalence is not claimed.
     """
-    if not (p.induced_hereditary and p.closed_union_K1):
-        raise ScopeError(
-            f"property {p.key} must be induced-hereditary and closed under "
-            "union with K1"
-        )
-    base = gamma_value(g, p)
-    subdivided = gamma_value(subdivide_edge(g, e, 1), p)
-    deleted = gamma_value(delete_edge(g, e), p)
-    in_scope = None not in (base, subdivided, deleted)
-    return MinusCheck(
-        s_minus=in_scope and subdivided < base,
-        er_minus=in_scope and deleted < base,
-    )
+    require(p, "induced_hereditary")
+    c = classify_edge(g, e, p)
+    return MinusCheck(c.s_minus, c.er_minus)
 
 
 class ClassMembership(NamedTuple):
@@ -194,12 +183,6 @@ def class_membership(g: Graph, p: PropertyDescriptor) -> ClassMembership:
     edges = g.edges()
     if not edges:
         raise ValueError("class membership needs at least one edge")
-    base = gamma_value(g, p)
-    cs = cer = True
-    for e in edges:
-        subdivided = gamma_value(subdivide_edge(g, e, 1), p)
-        deleted = gamma_value(delete_edge(g, e), p)
-        in_scope = None not in (base, subdivided, deleted)
-        cs = cs and in_scope and subdivided < base
-        cer = cer and in_scope and deleted < base
-    return ClassMembership(cs, cer)
+    flags = [classify_edge(g, e, p) for e in edges]
+    return ClassMembership(all(c.s_minus for c in flags),
+                           all(c.er_minus for c in flags))

@@ -23,10 +23,10 @@ import enum
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import BoundViolation, ScopeError
+from .errors import BoundViolation
 from . import formats
 from .graph import Edge, Graph, delete_edge, delete_vertex, subdivide_edge
-from .properties import PropertyDescriptor
+from .properties import PropertyDescriptor, require
 from .solver import gamma_value, in_some_minimum_set
 
 DEFAULT_CAP = 6
@@ -134,10 +134,7 @@ def s_class(g: Graph, p: PropertyDescriptor) -> SClass:
     outside that scope (use msd_graph directly to inspect other properties).
     A computed value above 3 raises BoundViolation carrying the instance.
     """
-    if not (p.hereditary and p.closed_union_K1):
-        raise ScopeError(
-            f"property {p.key} must be hereditary and closed under union with K1"
-        )
+    require(p, "hereditary")
     if not g.edges():
         raise ValueError("class membership needs at least one edge")
     result = msd_graph(g, p, cap=3).msd
@@ -190,11 +187,7 @@ def check_multi1(g: Graph, e: Edge, p: PropertyDescriptor) -> Multi1Check:
     a1 <=> a2 needs induced-hereditary + closed under union with K1 (enforced
     here); a1 <=> a3 additionally needs hereditary (gated by the caller).
     """
-    if not (p.induced_hereditary and p.closed_union_K1):
-        raise ScopeError(
-            f"property {p.key} must be induced-hereditary and closed under "
-            "union with K1"
-        )
+    require(p, "induced_hereditary")
     u, v = e
     if u > v:
         u, v = v, u
@@ -230,10 +223,7 @@ def check_multi4(g: Graph, e: Edge, p: PropertyDescriptor) -> Multi4Check:
     six one above, with msd = msd_minus = 1 and msd_plus = 6. msd_le_3: the
     edge's multisubdivision number is at most 3.
     """
-    if not (p.hereditary and p.closed_union_K1):
-        raise ScopeError(
-            f"property {p.key} must be hereditary and closed under union with K1"
-        )
+    require(p, "hereditary")
     u, v = e
     if u > v:
         u, v = v, u

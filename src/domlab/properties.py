@@ -23,6 +23,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .bitset import VertexSet, iter_bits
+from .errors import ScopeError
 from .graph import Graph, components_within, induced_subgraph
 from . import formats
 
@@ -101,6 +102,25 @@ def parse_property(text: str) -> PropertyDescriptor:
         except ValueError:
             raise ValueError(f"bad max-degree parameter in {text!r}") from None
     raise ValueError(f"unknown property {text!r}")
+
+
+def out_of_scope(p: PropertyDescriptor, flag: str) -> str | None:
+    """Why p lacks `flag` plus closure under union with K1, or None if it has both.
+
+    The statements are proved for such properties only; flag is one of
+    hereditary, induced_hereditary or nondegenerate.
+    """
+    if getattr(p, flag) and p.closed_union_K1:
+        return None
+    return (f"property {p.key} is not {flag.replace('_', '-')} and closed under "
+            "union with K1")
+
+
+def require(p: PropertyDescriptor, flag: str) -> None:
+    """Raise ScopeError unless p has `flag` and is closed under union with K1."""
+    reason = out_of_scope(p, flag)
+    if reason is not None:
+        raise ScopeError(reason)
 
 
 def holds(p: PropertyDescriptor, g: Graph) -> bool:

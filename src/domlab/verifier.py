@@ -8,9 +8,12 @@ yields a "skip" status (never a silent pass), because a violation outside
 the hypotheses would be meaningless.
 
 Verification runs per graph: each graph is one task that runs every selected
-in-scope (suite, property) pair on it and computes each shared per-edge
-check once. With jobs > 1 the tasks run on a process pool and are merged
-back in corpus order; corpus-level suites (FLAG-audit) stay serial.
+in-scope (suite, property) pair on it. The task is the graph's facts table:
+suites read from it the edited graphs (G with e subdivided, G-e, G-v), the
+minimum sets of G and the per-edge checks, and each fact is computed at most
+once per graph. Edited graphs depend on no property, so one copy serves all.
+With jobs > 1 the tasks run on a process pool and are merged back in corpus
+order; corpus-level suites (FLAG-audit) stay serial.
 
 Reports are deterministic: two runs over the same corpus and options produce
 identical output except for the elapsed field, the summed time of the
@@ -28,9 +31,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from .bitset import members
-from .corpus import iter_graph6_lines, resolve_corpus
 from .criticality import check_theorem1_conditions
-from .errors import CorpusError
 from .formats import to_graph6
 from .graph import (
     Graph,
@@ -42,7 +43,7 @@ from .graph import (
     translate_set,
 )
 from .multisubdivision import check_multi1, check_multi4, msd_graph
-from .properties import PropertyDescriptor, audit_flags, holds_induced
+from .properties import PropertyDescriptor, audit_flags, holds_induced, out_of_scope
 from .solver import (
     all_minimum_sets,
     gamma,
@@ -88,25 +89,9 @@ class SuiteReport:
         }
 
 
-def _scope_hereditary_k1(p: PropertyDescriptor) -> str | None:
-    if not (p.hereditary and p.closed_union_K1):
-        return f"property {p.key} is not hereditary and closed under union with K1"
-    return None
-
-
-def _scope_induced_k1(p: PropertyDescriptor) -> str | None:
-    if not (p.induced_hereditary and p.closed_union_K1):
-        return (
-            f"property {p.key} is not induced-hereditary and closed under "
-            "union with K1"
-        )
-    return None
-
-
-def _scope_nondegenerate_k1(p: PropertyDescriptor) -> str | None:
-    if not (p.nondegenerate and p.closed_union_K1):
-        return f"property {p.key} is not nondegenerate and closed under union with K1"
-    return None
+_hereditary_k1 = functools.partial(out_of_scope, flag="hereditary")
+_induced_k1 = functools.partial(out_of_scope, flag="induced_hereditary")
+_nondegenerate_k1 = functools.partial(out_of_scope, flag="nondegenerate")
 
 
 def _scope_unrestricted_only(p: PropertyDescriptor) -> str | None:
@@ -121,18 +106,20 @@ def _scope_any(p: PropertyDescriptor) -> str | None:
 
 @dataclass
 class _GraphTask:
-    """What the suites run on one graph share: the run's options and the
-    per-edge checks already computed on that graph. A task lives as long as
-    its graph's checks, so the memo needs no bound."""
+    """The facts table of one graph: the run's options and each fact about g
+    that a suite has computed so far (an edited copy of g, its minimum sets,
+    a per-edge check). A task lives as long as its graph's checks, so the
+    table needs no bound."""
 
+    g: Graph
     options: VerifyOptions
     _memo: dict = field(default_factory=dict)
 
-    def per_edge(self, check, g: Graph, e, p: PropertyDescriptor):
-        """check(g, e, p), computed once per (check, edge, property)."""
-        key = (check, e, p)
+    def once(self, fn, *args):
+        """fn(g, *args), computed once per task."""
+        key = (fn, *args)
         if key not in self._memo:
-            self._memo[key] = check(g, e, p)
+            self._memo[key] = fn(self.g, *args)
         return self._memo[key]
 
 
@@ -149,7 +136,7 @@ def _check_t1_bound(g: Graph, p: PropertyDescriptor, task: _GraphTask):
     base = gamma_value(g, p)
     out = []
     for e in g.edges():
-        sub = gamma_value(subdivide_edge(g, e, 1), p)
+        sub = gamma_value(task.once(subdivide_edge, e, 1), p)
         if sub > base + 1:
             out.append(_record(g, edge=list(e), gamma=base, gamma_subdivided=sub,
                                detail="single subdivision raised gamma by more than one"))
@@ -159,17 +146,14 @@ def _check_t1_bound(g: Graph, p: PropertyDescriptor, task: _GraphTask):
 def _check_t1_necessity(g: Graph, p: PropertyDescriptor, task: _GraphTask):
     base = gamma_value(g, p)
     out = []
-    min_sets = None
     for e in g.edges():
-        sub = gamma_value(subdivide_edge(g, e, 1), p)
+        sub = gamma_value(task.once(subdivide_edge, e, 1), p)
         if sub <= base:
             continue
         if sub != base + 1:
             out.append(_record(g, edge=list(e), gamma=base, gamma_subdivided=sub,
                                detail="critical edge without the forced +1 value"))
-        if min_sets is None:
-            min_sets = all_minimum_sets(g, p)
-        for M in min_sets:
+        for M in task.once(all_minimum_sets, p):
             cond = check_theorem1_conditions(g, e, p, M, literal=task.options.literal_iii)
             if not cond.any:
                 out.append(_record(
@@ -180,10 +164,10 @@ def _check_t1_necessity(g: Graph, p: PropertyDescriptor, task: _GraphTask):
 
 def _check_cor2_iff(g: Graph, p: PropertyDescriptor, task: _GraphTask):
     base = gamma_value(g, p)
-    min_sets = all_minimum_sets(g, p)
+    min_sets = task.once(all_minimum_sets, p)
     out = []
     for e in g.edges():
-        lhs = gamma_value(subdivide_edge(g, e, 1), p) > base
+        lhs = gamma_value(task.once(subdivide_edge, e, 1), p) > base
         rhs = all(
             check_theorem1_conditions(g, e, p, M, literal=task.options.literal_iii).any
             for M in min_sets
@@ -198,8 +182,8 @@ def _check_t3_equiv(g: Graph, p: PropertyDescriptor, task: _GraphTask):
     base = gamma_value(g, p)
     out = []
     for e in g.edges():
-        s_minus = gamma_value(subdivide_edge(g, e, 1), p) < base
-        er_minus = gamma_value(delete_edge(g, e), p) < base
+        s_minus = gamma_value(task.once(subdivide_edge, e, 1), p) < base
+        er_minus = gamma_value(task.once(delete_edge, e), p) < base
         if s_minus != er_minus:
             out.append(_record(g, edge=list(e), s_minus=s_minus, er_minus=er_minus,
                                detail="subdivision and deletion criticality differ"))
@@ -211,8 +195,8 @@ def _check_cor4_classes(g: Graph, p: PropertyDescriptor, task: _GraphTask):
     if not edges:
         return []
     base = gamma_value(g, p)
-    cs = all(gamma_value(subdivide_edge(g, e, 1), p) < base for e in edges)
-    cer = all(gamma_value(delete_edge(g, e), p) < base for e in edges)
+    cs = all(gamma_value(task.once(subdivide_edge, e, 1), p) < base for e in edges)
+    cer = all(gamma_value(task.once(delete_edge, e), p) < base for e in edges)
     if cs != cer:
         return [_record(g, cs_minus=cs, cer_minus=cer,
                         detail="all-edges criticality classes differ")]
@@ -222,18 +206,17 @@ def _check_cor4_classes(g: Graph, p: PropertyDescriptor, task: _GraphTask):
 def _check_t5_sandwich(g: Graph, p: PropertyDescriptor, task: _GraphTask):
     out = []
     for e in g.edges():
-        deleted = gamma_value(delete_edge(g, e), p)
-        sub3 = gamma_value(subdivide_edge(g, e, 3), p)
-        if not deleted <= sub3 <= deleted + 1:
-            out.append(_record(g, edge=list(e), gamma_deleted=deleted,
-                               gamma_sub3=sub3, detail="sandwich bound failed"))
+        m = task.once(check_multi1, e, p)
+        if not m.sandwich:
+            out.append(_record(g, edge=list(e), gamma_deleted=m.gamma_deleted,
+                               gamma_sub3=m.gamma_sub3, detail="sandwich bound failed"))
     return out
 
 
 def _check_t5_a1a2(g: Graph, p: PropertyDescriptor, task: _GraphTask):
     out = []
     for e in g.edges():
-        m = task.per_edge(check_multi1, g, e, p)
+        m = task.once(check_multi1, e, p)
         if m.a1 != m.a2:
             out.append(_record(g, edge=list(e), a1=m.a1, a2=m.a2,
                                detail="a1 and a2 differ"))
@@ -243,7 +226,7 @@ def _check_t5_a1a2(g: Graph, p: PropertyDescriptor, task: _GraphTask):
 def _check_t5_a1a3(g: Graph, p: PropertyDescriptor, task: _GraphTask):
     out = []
     for e in g.edges():
-        m = task.per_edge(check_multi1, g, e, p)
+        m = task.once(check_multi1, e, p)
         if m.a1 != m.a3:
             out.append(_record(g, edge=list(e), a1=m.a1, a3=m.a3,
                                detail="a1 and a3 differ"))
@@ -253,7 +236,7 @@ def _check_t5_a1a3(g: Graph, p: PropertyDescriptor, task: _GraphTask):
 def _check_t6_iff(g: Graph, p: PropertyDescriptor, task: _GraphTask):
     out = []
     for e in g.edges():
-        m = task.per_edge(check_multi4, g, e, p)
+        m = task.once(check_multi4, e, p)
         if not m.iff_holds:
             out.append(_record(g, edge=list(e), values=list(m.profile.values),
                                detail="triple-subdivision iff failed"))
@@ -263,7 +246,7 @@ def _check_t6_iff(g: Graph, p: PropertyDescriptor, task: _GraphTask):
 def _check_t6_chain(g: Graph, p: PropertyDescriptor, task: _GraphTask):
     out = []
     for e in g.edges():
-        m = task.per_edge(check_multi4, g, e, p)
+        m = task.once(check_multi4, e, p)
         if m.chain is False:
             out.append(_record(g, edge=list(e), values=list(m.profile.values),
                                detail="seven-term profile chain failed"))
@@ -273,7 +256,7 @@ def _check_t6_chain(g: Graph, p: PropertyDescriptor, task: _GraphTask):
 def _check_t6_msd3(g: Graph, p: PropertyDescriptor, task: _GraphTask):
     out = []
     for e in g.edges():
-        m = task.per_edge(check_multi4, g, e, p)
+        m = task.once(check_multi4, e, p)
         if not m.msd_le_3:
             out.append(_record(g, edge=list(e), msd=str(m.profile.msd),
                                values=list(m.profile.values),
@@ -285,7 +268,7 @@ def _check_ta_vertex(g: Graph, p: PropertyDescriptor, task: _GraphTask):
     base = gamma_value(g, p)
     out = []
     for v in range(g.n):
-        smaller, kept = delete_vertex(g, v)
+        smaller, kept = task.once(delete_vertex, v)
         reduced = gamma_value(smaller, p)
         if reduced is None:
             out.append(_record(g, vertex=v,
@@ -318,7 +301,7 @@ def _check_tb_edgeadd(g: Graph, p: PropertyDescriptor, task: _GraphTask):
     base = gamma_value(g, p)
     out = []
     for e in g.edges():
-        m = task.per_edge(check_multi1, g, e, p)
+        m = task.once(check_multi1, e, p)
         if base < m.gamma_deleted and base != m.gamma_deleted - 1:
             out.append(_record(g, edge=list(e), gamma=base,
                                gamma_deleted=m.gamma_deleted,
@@ -335,7 +318,7 @@ def _check_tc_plus1(g: Graph, p: PropertyDescriptor, task: _GraphTask):
     out = []
     for e in g.edges():
         x, y = e
-        reduced_graph = delete_edge(g, e)
+        reduced_graph = task.once(delete_edge, e)
         deleted = gamma_value(reduced_graph, p)
         if base <= deleted:
             continue  # out of this statement's scope
@@ -349,7 +332,7 @@ def _check_tc_plus1(g: Graph, p: PropertyDescriptor, task: _GraphTask):
                 out.append(_record(g, edge=list(e), minimum_set=members(M),
                                    detail="minimum set missing an endpoint"))
         for a, b in ((x, y), (y, x)):
-            smaller, _ = delete_vertex(g, a)
+            smaller, _ = task.once(delete_vertex, a)
             reduced = gamma_value(smaller, p)
             if reduced < deleted:
                 out.append(_record(g, edge=list(e), vertex=a, gamma_deleted=deleted,
@@ -388,20 +371,20 @@ class _Suite:
 
 
 SUITES: dict[str, _Suite] = {
-    "T1-bound": _Suite(_scope_hereditary_k1, _check_t1_bound),
-    "T1-necessity": _Suite(_scope_hereditary_k1, _check_t1_necessity),
+    "T1-bound": _Suite(_hereditary_k1, _check_t1_bound),
+    "T1-necessity": _Suite(_hereditary_k1, _check_t1_necessity),
     "COR2-iff": _Suite(_scope_unrestricted_only, _check_cor2_iff),
-    "T3-equiv": _Suite(_scope_induced_k1, _check_t3_equiv),
-    "COR4-classes": _Suite(_scope_induced_k1, _check_cor4_classes),
-    "T5-sandwich": _Suite(_scope_induced_k1, _check_t5_sandwich),
-    "T5-A1A2": _Suite(_scope_induced_k1, _check_t5_a1a2),
-    "T5-A1A3": _Suite(_scope_hereditary_k1, _check_t5_a1a3),
-    "T6-iff": _Suite(_scope_hereditary_k1, _check_t6_iff),
-    "T6-chain": _Suite(_scope_hereditary_k1, _check_t6_chain),
-    "T6-msd3": _Suite(_scope_hereditary_k1, _check_t6_msd3),
-    "TA-vertex": _Suite(_scope_nondegenerate_k1, _check_ta_vertex),
-    "TB-edgeadd": _Suite(_scope_hereditary_k1, _check_tb_edgeadd),
-    "TC-plus1-lemma": _Suite(_scope_hereditary_k1, _check_tc_plus1),
+    "T3-equiv": _Suite(_induced_k1, _check_t3_equiv),
+    "COR4-classes": _Suite(_induced_k1, _check_cor4_classes),
+    "T5-sandwich": _Suite(_induced_k1, _check_t5_sandwich),
+    "T5-A1A2": _Suite(_induced_k1, _check_t5_a1a2),
+    "T5-A1A3": _Suite(_hereditary_k1, _check_t5_a1a3),
+    "T6-iff": _Suite(_hereditary_k1, _check_t6_iff),
+    "T6-chain": _Suite(_hereditary_k1, _check_t6_chain),
+    "T6-msd3": _Suite(_hereditary_k1, _check_t6_msd3),
+    "TA-vertex": _Suite(_nondegenerate_k1, _check_ta_vertex),
+    "TB-edgeadd": _Suite(_hereditary_k1, _check_tb_edgeadd),
+    "TC-plus1-lemma": _Suite(_hereditary_k1, _check_tc_plus1),
     "FLAG-audit": _Suite(_scope_any, None),
     "ORACLE-equiv": _Suite(_scope_any, _check_oracle_equiv),
 }
@@ -448,7 +431,7 @@ def run_suite(
 
 def _check_graph(pairs, options: VerifyOptions, g: Graph):
     """One task: (violations, seconds) of each (suite, property) pair on g."""
-    task = _GraphTask(options)
+    task = _GraphTask(g, options)
     out = []
     for suite_id, p in pairs:
         started = time.perf_counter()
@@ -596,34 +579,7 @@ def scan_counterexamples(
     return hits
 
 
-# ----------------------------------------------------------- corpus + io --
-
-
-def ingest_corpus(source, fmt: str = "graph6", skip_bad: bool = False, warn=None):
-    """Lazily yield graphs from a path, text stream, or stdin ("-").
-
-    graph6 sources yield one graph per line with line numbers in labels;
-    edge-list sources yield a single graph. Parse errors raise CorpusError
-    carrying the line number unless skip_bad is set.
-    """
-    if fmt == "graph6":
-        if hasattr(source, "read"):
-            text, name = source.read(), getattr(source, "name", "<stream>")
-        else:
-            from pathlib import Path
-
-            path = Path(source)
-            if not path.is_file():
-                raise CorpusError(f"input file {path} not found")
-            text, name = path.read_text(), str(path)
-        return iter_graph6_lines(text, source=name, skip_bad=skip_bad, warn=warn)
-    if fmt == "edges":
-        if hasattr(source, "read"):
-            from .formats import parse_edge_list
-
-            return iter([parse_edge_list(source.read())])
-        return iter(resolve_corpus(f"edges:{source}", skip_bad=skip_bad, warn=warn))
-    raise CorpusError(f"unknown corpus format {fmt!r} (use graph6 or edges)")
+# -------------------------------------------------------------------- io --
 
 
 def emit_report(report: SuiteReport, sink) -> None:

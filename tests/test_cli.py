@@ -169,6 +169,15 @@ class TestVerify:
         assert code == 2 and out == ""
         assert "jobs must be at least 1" in err
 
+    @pytest.mark.parametrize("suites, properties", [("T1-bound", ","), (",", "I"),
+                                                    ("", "I")])
+    def test_empty_selection_exit_2(self, capsys, suites, properties):
+        code, out, err = run_cli(capsys, "verify", "--suites", suites,
+                                 "--properties", properties,
+                                 "--corpus", "bundled:paths14")
+        assert code == 2 and out == ""
+        assert "empty selection" in err
+
     def test_out_file_and_bundled_corpus(self, capsys, tmp_path):
         report = tmp_path / "report.jsonl"
         code, out, _ = run_cli(

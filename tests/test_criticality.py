@@ -111,6 +111,13 @@ class TestIff:
             for e in g.edges()
         )
 
+    def test_lhs_needs_no_gamma_of_the_deleted_graph(self):
+        # P3 minus (0,1) is disconnected, so classify_edge is out of scope
+        # and s_plus is False; subdividing (0,1) still raises gamma_c 1 -> 2
+        g = path(3)
+        assert not classify_edge(g, (0, 1), CONNECTED).s_plus
+        assert is_s_plus_critical_iff_conditions(g, (0, 1), CONNECTED).lhs
+
 
 class TestMinusEquivalence:
     def test_k333(self):

@@ -12,6 +12,7 @@ from domlab import (
     NO_ISOLATED,
     Graph,
     PropertyDescriptor,
+    ScopeError,
     audit_flags,
     bitmask,
     complete,
@@ -113,6 +114,20 @@ class TestFlagTable:
             parse_property("X")
         with pytest.raises(ValueError):
             parse_property("D:ما")
+
+    def test_scope_rule(self):
+        from domlab.properties import out_of_scope, require
+
+        assert out_of_scope(FOREST, "hereditary") is None
+        assert out_of_scope(CLIQUE_COMPONENTS, "induced_hereditary") is None
+        assert out_of_scope(CLIQUE_COMPONENTS, "hereditary") == (
+            "property UK is not hereditary and closed under union with K1")
+        assert out_of_scope(CONNECTED, "induced_hereditary") == (
+            "property C is not induced-hereditary and closed under union with K1")
+        require(EDGELESS, "nondegenerate")
+        with pytest.raises(ScopeError, match="^property T is not nondegenerate "
+                                             "and closed under union with K1$"):
+            require(NO_ISOLATED, "nondegenerate")
 
     def test_max_degree_requires_k(self):
         with pytest.raises(ValueError):

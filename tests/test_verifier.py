@@ -2,6 +2,7 @@
 
 import io
 import json
+import sys
 
 import pytest
 
@@ -17,12 +18,13 @@ from domlab import (
     VerifyOptions,
     all_reports_pass,
     complete,
+    complete_multipartite,
     cycle,
     emit_report,
-    ingest_corpus,
     load_corpus,
     parse_property,
     path,
+    resolve_corpus,
     run_suite,
     run_suites,
     scan_counterexamples,
@@ -173,9 +175,43 @@ class TestPerGraphLoop:
         monkeypatch.setattr(verifier, "check_multi4", counting)
         corpus = load_corpus("n5all")[:20]
         props = [ANY_GRAPH, EDGELESS]
+        expected = [(to_graph6(g), e, p.key)
+                    for g in corpus for p in props for e in g.edges()]
         run_suites(["T6-iff", "T6-chain", "T6-msd3"], props, corpus)
-        assert calls == [(to_graph6(g), e, p.key)
-                         for g in corpus for p in props for e in g.edges()]
+        assert calls == expected
+
+        # T5-sandwich reads the same check_multi1 result as T5-A1A2 and TB
+        calls.clear()
+        real1 = verifier.check_multi1
+
+        def counting1(g, e, p):
+            calls.append((to_graph6(g), e, p.key))
+            return real1(g, e, p)
+
+        monkeypatch.setattr(verifier, "check_multi1", counting1)
+        run_suites(["T5-sandwich", "T5-A1A2", "TB-edgeadd"], props, corpus)
+        assert calls == expected
+
+        # an edited graph is built once per graph, whichever suites and
+        # properties read it
+        edits = []
+        for name in ("subdivide_edge", "delete_edge", "delete_vertex"):
+            def counting_edit(g, *args, _name=name, _real=getattr(verifier, name)):
+                edits.append((to_graph6(g), _name, args))
+                return _real(g, *args)
+
+            monkeypatch.setattr(verifier, name, counting_edit)
+        # K_{3,3,3} has edges whose deletion lowers the edgeless-property
+        # gamma, so TC goes on to delete their endpoints
+        corpus = load_corpus("n5all") + [complete_multipartite([3, 3, 3])]
+        run_suites(["T1-bound", "T1-necessity", "T3-equiv", "COR4-classes",
+                    "TC-plus1-lemma"], props, corpus)
+        assert len(edits) == len(set(edits))
+        assert [x for x in edits if x[1] != "delete_vertex"] == [
+            (to_graph6(g), name, args) for g in corpus
+            for name, args in ([("subdivide_edge", (e, 1)) for e in g.edges()]
+                               + [("delete_edge", (e,)) for e in g.edges()])]
+        assert any(x[1] == "delete_vertex" for x in edits)
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_fail_fast_stops_only_the_failing_pair(self, monkeypatch, jobs):
@@ -236,7 +272,7 @@ class TestIngest:
     def test_three_lines(self, tmp_path):
         f = tmp_path / "c.g6"
         f.write_text("A_\nBw\nCh\n")
-        got = list(ingest_corpus(f))
+        got = resolve_corpus(f"g6:{f}")
         assert [g.n for g in got] == [2, 3, 4]
         assert got[1].label.endswith(":2 Bw")
 
@@ -244,29 +280,32 @@ class TestIngest:
         f = tmp_path / "c.g6"
         f.write_text("A_\n~broken\nBw\n")
         warnings = []
-        got = list(ingest_corpus(f, skip_bad=True, warn=warnings.append))
+        got = resolve_corpus(f"g6:{f}", skip_bad=True, warn=warnings.append)
         assert len(got) == 2 and len(warnings) == 1
 
     def test_bad_line_raises_with_line_number(self, tmp_path):
         f = tmp_path / "c.g6"
         f.write_text("A_\n~broken\n")
         with pytest.raises(CorpusError, match=":2:"):
-            list(ingest_corpus(f))
+            resolve_corpus(f"g6:{f}")
 
     def test_empty_file_gives_empty_suite(self, tmp_path):
         f = tmp_path / "c.g6"
         f.write_text("")
-        graphs = list(ingest_corpus(f))
+        graphs = resolve_corpus(f"g6:{f}")
         assert graphs == []
         r = run_suite("T1-bound", ANY_GRAPH, graphs)
         assert r.status == "pass" and r.graphs_checked == 0
 
-    def test_stream_sources(self):
-        got = list(ingest_corpus(io.StringIO("A_\nBw\n")))
+    def test_stream_sources(self, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("A_\nBw\n"))
+        got = resolve_corpus("g6:-")
         assert len(got) == 2
-        one = list(ingest_corpus(io.StringIO("0 1\n1 2\n"), fmt="edges"))
+        monkeypatch.setattr(sys, "stdin", io.StringIO("0 1\n1 2\n"))
+        one = resolve_corpus("edges:-")
         assert len(one) == 1 and one[0].n == 3
 
-    def test_unknown_format(self):
+    def test_unknown_format(self, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(""))
         with pytest.raises(CorpusError):
-            list(ingest_corpus(io.StringIO(""), fmt="dot"))
+            resolve_corpus("dot:-")
