@@ -54,9 +54,10 @@ print("\nstar K1,4 is a forest:", holds(CATALOG[4], star(4)))
 print("C4 is a forest:", holds(CATALOG[4], cycle(4)))
 
 # The flags are hard-coded; audit_flags is the empirical cross-check. On
-# every graph with up to five vertices, each claimed flag survives an
-# exhaustive test of its defining implication, and the flags claimed False
-# reveal concrete witnesses.
+# every graph with up to five vertices, each claimed flag survives an exact
+# test of its defining implication (every one-step deletion from every
+# subgraph that has the property, up to isomorphism), and the flags claimed
+# False reveal concrete witnesses.
 n5 = load_corpus("n5all")
 for p in CATALOG:
     rep = audit_flags(p, n5)

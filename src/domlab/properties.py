@@ -10,6 +10,12 @@ Each property is a predicate on graphs plus four metadata flags:
 The flags are hard-coded (they gate which verification suites apply and
 must be deterministic); `audit_flags` is the empirical cross-check that
 hunts for counterexamples to each flag's defining implication on a corpus.
+It is exact on the corpus: every predicate here is invariant under
+isomorphism, so a graph has a subgraph (an induced subgraph) lacking the
+property exactly when one edge or vertex deletion (one vertex deletion)
+turns some subgraph that has it into one that lacks it. The audit checks
+those one-step implications once per isomorphism class of the corpus's
+deletion closure, classes told apart by their canonical form (`canon`).
 
 Empty-set convention: the empty graph has every property except
 "connected" and "min degree >= 1", for which it is rejected. The predicate
@@ -19,12 +25,12 @@ search monotone for the K1-closed properties.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from .bitset import VertexSet, iter_bits
+from .canon import canonical_adjacency
 from .errors import ScopeError
-from .graph import Graph, components_within, induced_subgraph
+from .graph import Graph, components_within, delete_edge, delete_vertex
 from . import formats
 
 
@@ -170,9 +176,13 @@ class AuditReport:
     """Empirical check of the four flag definitions over a corpus.
 
     `violations[flag]` lists (graph6, detail) witnesses where the flag's
-    defining implication failed. A flag claimed True in the descriptor must
-    come out clean; a claimed-False flag may or may not expose a witness on
-    a small corpus.
+    defining implication failed, in corpus order. For hereditary and
+    induced_hereditary the detail names the failing one-step pair: a
+    subgraph of the corpus graph that has the property (graph6), the vertex
+    or edge deleted from it (in its labels), and the graph6 of what is left,
+    which lacks it. A flag claimed True in the descriptor must come out
+    clean; a claimed-False flag may or may not expose a witness on a small
+    corpus.
     """
 
     property: PropertyDescriptor
@@ -196,13 +206,84 @@ def _with_isolated_vertex(g: Graph) -> Graph:
     return Graph(g.n + 1, g.adj + (0,))
 
 
-def audit_flags(p: PropertyDescriptor, corpus) -> AuditReport:
-    """Exhaustively test each flag's defining implication on the corpus.
+class _DeletionClosure:
+    """The deletion closure of a corpus under p, one entry per isomorphism class.
 
-    Intended for small graphs (the hereditary check walks every edge subset
-    of every induced subgraph).
+    A class is held as its canonical graph, keyed by its canonical
+    adjacency. For a class that has p, `induced(key)` and `spanning(key)`
+    return the first failing link of a chain of vertex deletions (of edge
+    or vertex deletions) that ends in a graph lacking p, or None.
+    """
+
+    def __init__(self, p: PropertyDescriptor):
+        self.p = p
+        self.graphs: dict[tuple[int, ...], Graph] = {}
+        self.induced_hits: dict[tuple[int, ...], str | None] = {}
+        self.spanning_hits: dict[tuple[int, ...], str | None] = {}
+
+    def key(self, g: Graph, vertices: VertexSet) -> tuple[int, ...]:
+        """The class of the subgraph of g that `vertices` induces."""
+        key = canonical_adjacency(g.adj, vertices)
+        if key not in self.graphs:
+            self.graphs[key] = Graph(len(key), key)
+        return key
+
+    def induced(self, key: tuple[int, ...]) -> str | None:
+        if key not in self.induced_hits:
+            self.induced_hits[key] = self._induced_failure(self.graphs[key])
+        return self.induced_hits[key]
+
+    def spanning(self, key: tuple[int, ...]) -> str | None:
+        if key not in self.spanning_hits:
+            self.spanning_hits[key] = (self.induced(key)
+                                       or self._edge_failure(self.graphs[key]))
+        return self.spanning_hits[key]
+
+    def _induced_failure(self, h: Graph) -> str | None:
+        full = h.vertex_mask
+        for v in range(h.n):
+            if not holds_induced(self.p, h, full & ~(1 << v)):
+                return _witness(h, f"vertex {v}", delete_vertex(h, v)[0])
+        for v in range(h.n):
+            hit = self.induced(self.key(h, full & ~(1 << v)))
+            if hit is not None:
+                return hit
+        return None
+
+    def _edge_failure(self, h: Graph) -> str | None:
+        # A subgraph of h that is not induced is a subgraph of some h - e;
+        # the induced ones are covered by `induced`.
+        children = [(e, delete_edge(h, e)) for e in h.edges()]
+        for (u, v), child in children:
+            if not holds(self.p, child):
+                return _witness(h, f"edge {u}-{v}", child)
+        for _, child in children:
+            hit = self.spanning(self.key(child, child.vertex_mask))
+            if hit is not None:
+                return hit
+        return None
+
+
+def _witness(parent: Graph, deleted: str, child: Graph) -> str:
+    return (f"deleting {deleted} from {formats.to_graph6(parent)} (has the property) "
+            f"gives {formats.to_graph6(child)} (lacks it)")
+
+
+def audit_flags(p: PropertyDescriptor, corpus) -> AuditReport:
+    """Test each flag's defining implication on every corpus graph.
+
+    nondegenerate and closed_union_K1 are tested on the graph itself. For a
+    graph G that has p, hereditary (induced_hereditary) fails exactly when
+    some chain of edge or vertex deletions (vertex deletions) from G passes
+    through graphs that have p to one that lacks it; the chain's first
+    failing link is the witness. The walk tests the vertex-deleted (then
+    the edge-deleted) children of a class before it descends into them,
+    and memoises each class by its canonical form, so a class of the
+    deletion closure is expanded at most once per call however many corpus
+    graphs contain it.
     """
     violations: dict[str, list[tuple[str, str]]] = {flag: [] for flag in _FLAGS}
+    closure = _DeletionClosure(p)
     checked = 0
     for g in corpus:
         checked += 1
@@ -213,26 +294,11 @@ def audit_flags(p: PropertyDescriptor, corpus) -> AuditReport:
             continue
         if not holds(p, _with_isolated_vertex(g)):
             violations["closed_union_K1"].append((g6, "fails after adding an isolated vertex"))
-        hereditary_hit = None
-        induced_hit = None
-        for S in range(g.vertex_mask + 1):
-            sub, _ = induced_subgraph(g, S)
-            sub_ok = holds(p, sub)
-            if not sub_ok and induced_hit is None:
-                induced_hit = f"induced subgraph on vertex set {S:#x} lacks the property"
-            if hereditary_hit is None:
-                sub_edges = sub.edges()
-                for r in range(len(sub_edges) + 1):
-                    for chosen in itertools.combinations(sub_edges, r):
-                        if not holds(p, Graph.from_edges(sub.n, chosen)):
-                            hereditary_hit = (
-                                f"subgraph (vertex set {S:#x}, {r} edges) lacks the property"
-                            )
-                            break
-                    if hereditary_hit:
-                        break
+        key = closure.key(g, g.vertex_mask)
+        induced_hit = closure.induced(key)
         if induced_hit:
             violations["induced_hereditary"].append((g6, induced_hit))
+        hereditary_hit = closure.spanning(key)
         if hereditary_hit:
             violations["hereditary"].append((g6, hereditary_hit))
     return AuditReport(p, checked, violations)

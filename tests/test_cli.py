@@ -1,10 +1,15 @@
 """The domlab command-line surface: JSON-lines output and exit codes."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
 from domlab.cli import main
+
+
+BENCH_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "cli.json"
 
 
 def run_cli(capsys, *argv):
@@ -185,6 +190,34 @@ class TestVerify:
             "--corpus", "bundled:paths14", "--out", str(report))
         assert code == 0 and out == ""
         assert jsonl(report.read_text())[0]["graphs_checked"] == 13
+
+    def test_flag_audit_passes_on_n7c_for_every_catalog_property(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--suites", "FLAG-audit",
+                               "--properties", "I,O,C,T,F,UK,D:1",
+                               "--corpus", "bundled:n7c")
+        assert code == 0
+        records = jsonl(out)
+        assert [r["property"] for r in records] == ["I", "O", "C", "T", "F", "UK", "D:1"]
+        assert all(r["status"] == "pass" and r["graphs_checked"] == 995
+                   for r in records)
+
+    def test_flag_audit_report_matches_benchmark_reference(self, capsys):
+        # the benchmark's stored digests of this command's lines, read as
+        # data (perfbench is not imported); a digest covers every field of a
+        # line but elapsed
+        reference = json.loads(BENCH_REFERENCE.read_text())["tiny/flag-audit/0"]["lines"]
+        code, out, _ = run_cli(capsys, "verify", "--suites", "FLAG-audit",
+                               "--properties", "I,O,C,T,F,UK,D:1",
+                               "--corpus", "bundled:n5all")
+        assert code == 0
+        got = []
+        for record in jsonl(out):
+            del record["elapsed"]
+            text = json.dumps(record, sort_keys=True, separators=(",", ":"))
+            got.append([record["suite"], record["property"], record["status"],
+                        record["graphs_checked"],
+                        hashlib.sha256(text.encode()).hexdigest()[:12]])
+        assert got == reference
 
 
 class TestScan:

@@ -1,6 +1,13 @@
 """Property predicates, flag metadata, and the empirical flag audit."""
 
+import io
+import itertools
+import json
+import re
+
+import networkx as nx
 import pytest
+from networkx.algorithms import isomorphism
 
 from domlab import (
     ANY_GRAPH,
@@ -17,11 +24,19 @@ from domlab import (
     bitmask,
     complete,
     cycle,
+    delete_edge,
+    delete_vertex,
+    emit_report,
     holds,
     holds_induced,
+    induced_subgraph,
     max_degree,
+    members,
+    parse_graph6,
     parse_property,
     path,
+    run_suite,
+    to_graph6,
 )
 from domlab.corpus import load_corpus
 from domlab.solver import is_dominating
@@ -141,6 +156,103 @@ def n5():
     return load_corpus("n5all")
 
 
+@pytest.fixture(scope="module")
+def n6():
+    return load_corpus("n6all")
+
+
+def _nx(g):
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    return h
+
+
+def exhaustive_audit(p, corpus):
+    """Reference for audit_flags: the violation graph6 lists of each flag,
+    found by testing every edge subset of every induced subgraph."""
+    violations = {flag: [] for flag in
+                  ("hereditary", "induced_hereditary", "closed_union_K1", "nondegenerate")}
+    for g in corpus:
+        g6 = to_graph6(g)
+        if g.edge_count() == 0 and not holds(p, g):
+            violations["nondegenerate"].append(g6)
+        if not holds(p, g):
+            continue
+        if not holds(p, Graph(g.n + 1, g.adj + (0,))):
+            violations["closed_union_K1"].append(g6)
+        induced_hit = hereditary_hit = False
+        for S in range(g.vertex_mask + 1):
+            if induced_hit and hereditary_hit:
+                break
+            sub, _ = induced_subgraph(g, S)
+            induced_hit = induced_hit or not holds(p, sub)
+            sub_edges = sub.edges()
+            hereditary_hit = hereditary_hit or any(
+                not holds(p, Graph.from_edges(sub.n, chosen))
+                for r in range(len(sub_edges) + 1)
+                for chosen in itertools.combinations(sub_edges, r))
+        if induced_hit:
+            violations["induced_hereditary"].append(g6)
+        if hereditary_hit:
+            violations["hereditary"].append(g6)
+    return violations
+
+
+def overclaimed(p, **flags):
+    return PropertyDescriptor(p.id, f"{p.name} (overclaimed)", k=p.k, **{
+        "hereditary": p.hereditary, "induced_hereditary": p.induced_hereditary,
+        "closed_union_K1": p.closed_union_K1, "nondegenerate": p.nondegenerate,
+        **flags})
+
+
+# UK is not hereditary: K3 minus an edge is P3. C is not induced-hereditary,
+# but every one-vertex deletion of C5 is the connected P4, so the walk must
+# go two deletions deep.
+OVERCLAIMED = [
+    (overclaimed(CLIQUE_COMPONENTS, hereditary=True), complete(3), "hereditary"),
+    (overclaimed(CONNECTED, induced_hereditary=True), cycle(5), "induced_hereditary"),
+]
+
+
+def _holds_induced_or_multipartite(original):
+    """holds_induced, extended by the id KM: complete multipartite graphs,
+    where non-adjacent vertices have the same neighbours. KM is
+    induced-hereditary but not hereditary, and K4 first fails it two edge
+    deletions deep (K4 minus two edges at one vertex)."""
+    def patched(p, g, S):
+        if p.id != "KM":
+            return original(p, g, S)
+        return all(g.adj[u] & S == g.adj[v] & S
+                   for u in members(S) for v in members(S & ~g.adj[u]))
+    return patched
+
+
+COMPLETE_MULTIPARTITE = PropertyDescriptor("KM", "complete multipartite",
+                                           hereditary=True, induced_hereditary=True)
+
+
+def replay(p, detail):
+    """Check a witness from its text alone: the named parent has p, and
+    deleting the named vertex or edge from it gives the named child, which
+    lacks p. Returns (parent, child)."""
+    match = WITNESS.fullmatch(detail)
+    assert match, detail
+    parent = parse_graph6(match["parent"])
+    if match["vertex"] is not None:
+        child, _ = delete_vertex(parent, int(match["vertex"]))
+    else:
+        child = delete_edge(parent, (int(match["u"]), int(match["v"])))
+    assert to_graph6(child) == match["child"]
+    assert holds(p, parent) and not holds(p, child)
+    return parent, child
+
+
+WITNESS = re.compile(r"deleting (?:vertex (?P<vertex>\d+)|edge (?P<u>\d+)-(?P<v>\d+)) "
+                     r"from (?P<parent>\S+) \(has the property\) "
+                     r"gives (?P<child>\S+) \(lacks it\)")
+
+
 class TestAuditFlags:
     def test_clique_components_not_hereditary(self, n5):
         report = audit_flags(CLIQUE_COMPONENTS, n5)
@@ -164,6 +276,64 @@ class TestAuditFlags:
     def test_all_claimed_flags_hold_on_n5(self, n5):
         for p in list(CATALOG) + [max_degree(2)]:
             assert audit_flags(p, n5).claims_confirmed, p.key
+
+    @pytest.mark.parametrize("corpus", ["n5all", "n6all"])
+    @pytest.mark.parametrize("p", list(CATALOG) + [max_degree(2)], ids=str)
+    def test_matches_exhaustive_reference(self, p, corpus):
+        graphs = load_corpus(corpus)
+        report = audit_flags(p, graphs)
+        got = {flag: [g6 for g6, _ in hits] for flag, hits in report.violations.items()}
+        assert got == exhaustive_audit(p, graphs)
+
+    @pytest.mark.parametrize("p, g, flag", OVERCLAIMED, ids=["UK-K3", "C-C5"])
+    def test_overclaimed_flag_matches_exhaustive_reference(self, p, g, flag):
+        report = audit_flags(p, [g])
+        assert list(report.claim_violations) == [flag]
+        got = {f: [g6 for g6, _ in hits] for f, hits in report.violations.items()}
+        assert got == exhaustive_audit(p, [g])
+
+    def test_edge_deletions_two_deep(self, monkeypatch, n5):
+        from domlab import properties
+
+        monkeypatch.setattr(properties, "holds_induced",
+                            _holds_induced_or_multipartite(properties.holds_induced))
+        p = COMPLETE_MULTIPARTITE
+        report = audit_flags(p, [complete(4)])
+        (_, detail), = report.violations["hereditary"]
+        parent, child = replay(p, detail)
+        assert (parent.n, parent.edge_count(), child.edge_count()) == (4, 5, 4)
+        assert not report.violations["induced_hereditary"]
+        got = {f: [g6 for g6, _ in hits] for f, hits in audit_flags(p, n5).violations.items()}
+        assert got == exhaustive_audit(p, n5)
+        assert got["hereditary"]
+
+    @pytest.mark.parametrize("p, g, flag", OVERCLAIMED, ids=["UK-K3", "C-C5"])
+    def test_claim_violation_replays_from_its_json_line(self, p, g, flag):
+        sink = io.StringIO()
+        emit_report(run_suite("FLAG-audit", p, [g]), sink)
+        record = json.loads(sink.getvalue())
+        assert record["status"] == "fail"
+        for violation in record["violations"]:
+            replay(p, violation["detail"])
+        assert [v["flag"] for v in record["violations"]] == [flag]
+
+    def test_vertex_deletions_two_deep(self):
+        p, g, _ = OVERCLAIMED[1]
+        (_, detail), = audit_flags(p, [g]).violations["induced_hereditary"]
+        parent, child = replay(p, detail)
+        # the parent is a P4 (it is connected), the child K2 + K1
+        assert (parent.n, parent.edge_count(), child.edge_count()) == (4, 3, 1)
+
+    def test_every_witness_replays_and_is_a_subgraph(self, n6):
+        for p in CATALOG:
+            for flag in ("hereditary", "induced_hereditary"):
+                for g6, detail in audit_flags(p, n6).violations[flag]:
+                    parent, _ = replay(p, detail)
+                    matcher = isomorphism.GraphMatcher(_nx(parse_graph6(g6)), _nx(parent))
+                    if flag == "hereditary":
+                        assert matcher.subgraph_is_monomorphic(), (p.key, g6, detail)
+                    else:
+                        assert matcher.subgraph_is_isomorphic(), (p.key, g6, detail)
 
 
 def _maximal_independent_sets(g):
