@@ -5,7 +5,7 @@ Subcommands (all emit JSON lines on stdout unless --out is given):
   gamma      domination number and witness per input graph
   classify   per-edge criticality flags and condition reports
   msd        per-edge subdivision profiles and multisubdivision numbers
-  sclass     subdivision class (1..3) per graph
+  sclass     subdivision class (1..3, null without edges) per graph
   verify     run verification suites over a corpus
   scan       exploratory counterexample scans
 
@@ -25,7 +25,7 @@ from .criticality import classify_edge
 from .errors import DomlabError, ScopeError
 from .formats import to_graph6
 from .multisubdivision import DEFAULT_CAP, MsdMarker, msd_graph, profile, s_class
-from .properties import parse_property
+from .properties import parse_property, require
 from .solver import gamma
 from .verifier import (
     ASSERTIONS,
@@ -122,11 +122,12 @@ def _cmd_msd(args, out) -> int:
 
 def _cmd_sclass(args, out) -> int:
     p = parse_property(args.property)
+    require(p, "hereditary")  # out of scope fails before any line, edgeless or not
     for g in resolve_corpus(args.input, skip_bad=args.skip_bad):
         _emit({
             "graph": to_graph6(g),
             "property": p.key,
-            "class": s_class(g, p).class_index,
+            "class": s_class(g, p).class_index if g.edges() else None,
         }, out)
     return 0
 

@@ -21,14 +21,16 @@ takes one of three forms, chosen by the property:
   when one of them lies at distance d from S with d - 1 > budget, since it
   needs d - 1 more vertices.
 
-find takes a forced start set and a mask of the vertices it may add. gamma
-builds its lexicographically least witness one member at a time: the
-smallest u such that the members so far plus u, completed with vertices
-above u, still reach the minimum size. Forced members may be disconnected;
-C then accepts only a dominating superset that induces one component.
+find takes a forced start set and a mask of the vertices it may add. One
+walk over it lists the minimum sets (_minimum_sets): slot by slot it takes
+each u in ascending order for which the members so far plus u, completed
+with vertices above u, still reach the minimum size, and descends. Its
+first set is gamma's witness; all of them are all_minimum_sets. Forced
+members may be disconnected; C then accepts only a dominating superset that
+induces one component.
 
-gamma_oracle is the independent cross-check: plain subset enumeration in
-increasing cardinality with no pruning, capped at n <= 20.
+gamma_oracle is the reference the search is tested against: plain subset
+enumeration in increasing cardinality with no pruning, capped at n <= 20.
 
 Conventions: gamma of the empty graph is 0 with witness {} for properties
 that accept the empty set, undefined otherwise. Witnesses and enumeration
@@ -201,48 +203,21 @@ def gamma_value(g: Graph, p: PropertyDescriptor) -> int | None:
     return _gamma_value(g, p)
 
 
-def _enumerate_at(g, p, k):
-    """Dominating p-sets of size exactly k, ascending-lexicographic order."""
-    full = g.vertex_mask
-    closed = tuple(g.adj[v] | (1 << v) for v in range(g.n))
-    max_closed = max((c.bit_count() for c in closed), default=1)
-    prune = p.induced_hereditary
-    out: list[VertexSet] = []
-
-    def rec(S, dom, start, budget):
-        if budget == 0:
-            if dom == full and (prune or holds_induced(p, g, S)):
-                out.append(S)
-            return
-        rest = (full >> start) << start
-        for w in iter_bits(full & ~dom):
-            if not closed[w] & rest:
-                return  # w can no longer be dominated
-        if (full & ~dom).bit_count() > budget * max_closed:
-            return
-        for u in range(start, g.n):
-            S2 = S | (1 << u)
-            if prune and not holds_induced(p, g, S2):
-                continue
-            rec(S2, dom | closed[u], u + 1, budget - 1)
-
-    rec(0, 0, 0, k)
-    return out
-
-
-def _least_witness(g: Graph, p: PropertyDescriptor, value: int) -> VertexSet:
-    # Fix the members one slot at a time: each slot takes the smallest u for
-    # which the prefix plus u, completed only with vertices above u, still
-    # reaches a dominating p-set of size value.
+def _minimum_sets(g: Graph, p: PropertyDescriptor, value: int):
+    """Every dominating p-set of size value = gamma, in lexicographic order;
+    a set s1 < ... < sk is reached only along s1, s2, ..., so exactly once."""
     search = _Search(g, p)
-    prefix, low = 0, 0
-    for remaining in range(value - 1, -1, -1):
-        for u in range(low, g.n - remaining):
+
+    def walk(prefix, low, remaining):
+        if remaining == 0:
+            yield prefix
+            return
+        for u in range(low, g.n - remaining + 1):
             above = g.vertex_mask & ~((2 << u) - 1)
-            if search.find(remaining, prefix | (1 << u), above) is not None:
-                prefix, low = prefix | (1 << u), u + 1
-                break
-    return prefix
+            if search.find(remaining - 1, prefix | (1 << u), above) is not None:
+                yield from walk(prefix | (1 << u), u + 1, remaining - 1)
+
+    return walk(0, 0, value)
 
 
 def gamma(g: Graph, p: PropertyDescriptor) -> GammaResult:
@@ -250,7 +225,7 @@ def gamma(g: Graph, p: PropertyDescriptor) -> GammaResult:
     value = _gamma_value(g, p)
     if value is None:
         return GammaResult(None, None, p, g.label)
-    return GammaResult(value, _least_witness(g, p, value), p, g.label)
+    return GammaResult(value, next(_minimum_sets(g, p, value)), p, g.label)
 
 
 def gamma_oracle(g: Graph, p: PropertyDescriptor) -> GammaResult:
@@ -272,7 +247,7 @@ def all_minimum_sets(g: Graph, p: PropertyDescriptor) -> list[VertexSet]:
         raise UndefinedGammaError(
             f"gamma is undefined for property {p.key} on this graph"
         )
-    return _enumerate_at(g, p, value)
+    return list(_minimum_sets(g, p, value))
 
 
 def in_some_minimum_set(g: Graph, p: PropertyDescriptor, v: int) -> bool:

@@ -527,7 +527,7 @@ def _scan_msd_above_3(g: Graph, p: PropertyDescriptor):
     if not g.edges():
         return None
     m = msd_graph(g, p, cap=3).msd
-    if not isinstance(m, int):
+    if m is not None and not isinstance(m, int):
         return {"msd": str(m)}
     return None
 

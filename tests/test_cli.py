@@ -117,6 +117,19 @@ class TestSClass:
         assert code == 0
         assert [r["class"] for r in jsonl(out)] == [1, 3]
 
+    def test_edgeless_graphs_get_null_class(self, capsys):
+        from domlab import parse_graph6
+
+        code, out, _ = run_cli(capsys, "sclass", "--property", "I",
+                               "--input", "bundled:n5all")
+        assert code == 0
+        records = jsonl(out)
+        assert len(records) == 52
+        for r in records:
+            has_edges = bool(parse_graph6(r["graph"]).edges())
+            assert (r["class"] is None) == (not has_edges)
+            assert r["class"] is None or 1 <= r["class"] <= 3
+
     def test_refuses_uk(self, capsys, tmp_path):
         f = tmp_path / "c.g6"
         f.write_text("Bw\n")

@@ -131,15 +131,19 @@ class TestAllMinimumSets:
     def test_lexicographic_order_matches_oracle(self):
         import itertools
 
-        for g in load_corpus("n5all"):
-            for p in (ANY_GRAPH, EDGELESS, FOREST):
-                value = gamma_value(g, p)
-                expected = [
-                    bitmask(c)
-                    for c in itertools.combinations(range(g.n), value)
-                    if is_dominating(g, bitmask(c)) and holds_induced(p, g, bitmask(c))
-                ]
-                assert all_minimum_sets(g, p) == expected
+        for name in ("n5all", "n6all"):
+            for g in load_corpus(name):
+                for p in (*CATALOG, max_degree(2)):
+                    value = gamma_value(g, p)
+                    if value is None:
+                        continue
+                    expected = [
+                        bitmask(c)
+                        for c in itertools.combinations(range(g.n), value)
+                        if is_dominating(g, bitmask(c)) and holds_induced(p, g, bitmask(c))
+                    ]
+                    assert all_minimum_sets(g, p) == expected
+                    assert gamma(g, p).witness == expected[0]
 
 
 class TestInSomeMinimumSet:

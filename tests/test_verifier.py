@@ -11,6 +11,7 @@ from domlab import (
     CLIQUE_COMPONENTS,
     CONNECTED,
     EDGELESS,
+    NO_ISOLATED,
     CorpusError,
     PropertyDescriptor,
     STATEMENT_COVERAGE,
@@ -255,6 +256,11 @@ class TestScans:
 
     def test_no_msd_above_3_on_small_corpus(self):
         assert scan_counterexamples("msd-above-3", ANY_GRAPH, SMALL) == []
+
+    @pytest.mark.parametrize("p", [CONNECTED, NO_ISOLATED], ids=["C", "T"])
+    def test_msd_above_3_skips_undefined_msd(self, p):
+        # graphs where some edge profile has an undefined gamma have no msd
+        assert scan_counterexamples("msd-above-3", p, load_corpus("n6all")) == []
 
     def test_er_minus_exists_finds_k333(self):
         from domlab import complete_multipartite
