@@ -68,6 +68,7 @@ from .multisubdivision import (
     SClass,
     check_multi1,
     check_multi4,
+    edge_minima,
     ext_min,
     msd_graph,
     profile,

@@ -24,7 +24,7 @@ from .corpus import BUNDLED, resolve_corpus
 from .criticality import classify_edge
 from .errors import DomlabError, ScopeError
 from .formats import to_graph6
-from .multisubdivision import DEFAULT_CAP, MsdMarker, msd_graph, profile, s_class
+from .multisubdivision import DEFAULT_CAP, MsdMarker, edge_minima, profile, s_class
 from .properties import parse_property, require
 from .solver import gamma
 from .verifier import (
@@ -94,8 +94,8 @@ def _cmd_msd(args, out) -> int:
     p = parse_property(args.property)
     for g in resolve_corpus(args.input, skip_bad=args.skip_bad):
         g6 = to_graph6(g)
-        for e in g.edges():
-            pr = profile(g, e, p, cap=args.cap)
+        profiles = [profile(g, e, p, cap=args.cap) for e in g.edges()]
+        for pr in profiles:
             _emit({
                 "graph": g6,
                 "property": p.key,
@@ -106,8 +106,8 @@ def _cmd_msd(args, out) -> int:
                 "msd_minus": _jsonable(pr.msd_minus),
                 "cap": pr.cap,
             }, out)
-        if g.edges():
-            graph_level = msd_graph(g, p, cap=args.cap)
+        if profiles:
+            graph_level = edge_minima(profiles)
             _emit({
                 "graph": g6,
                 "property": p.key,
@@ -136,11 +136,8 @@ def _cmd_verify(args, out) -> int:
     properties = [parse_property(t) for t in args.properties.split(",") if t]
     if args.suites == "all":
         suite_ids = list(SUITES)
-    else:
+    else:  # run_suites rejects unknown ids
         suite_ids = [s for s in args.suites.split(",") if s]
-        for s in suite_ids:
-            if s not in SUITES:
-                raise DomlabError(f"unknown suite {s!r}; known: {', '.join(SUITES)}")
     if not properties or not suite_ids:
         raise DomlabError("empty selection: --suites and --properties each need an entry")
     options = VerifyOptions(fail_fast=args.fail_fast,

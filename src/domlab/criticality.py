@@ -5,8 +5,8 @@ when it lowers it, and ER--critical when deleting the edge lowers gamma.
 `check_theorem1_conditions` evaluates, against one minimum set M, the three
 structural conditions that characterize S+-critical edges; condition (iii)
 is implemented as the mirror image of (ii) (swap the roles of the
-endpoints), with `literal=True` switching the final clause to the
-non-symmetrized variant for audit runs.
+endpoints). `literal=True` selects the non-symmetrized reading of (iii),
+which can never hold, so audit runs with it report (i) and (ii) alone.
 
 When any of the three gamma values involved is undefined, every flag is
 False and the classification is marked out of scope; the theorems'
@@ -48,16 +48,6 @@ class EdgeClassification:
     condition_report: tuple[tuple[VertexSet, ConditionCheck], ...]
 
 
-def _pn_unrestricted(g: Graph, x: int, X: VertexSet) -> VertexSet:
-    # like private_neighbors but without requiring x in X (empty when x not in X)
-    xbit = 1 << x
-    out = 0
-    for y in range(g.n):
-        if ((g.adj[y] | (1 << y)) & X) == xbit:
-            out |= 1 << y
-    return out
-
-
 def check_theorem1_conditions(
     g: Graph,
     e: Edge,
@@ -70,10 +60,11 @@ def check_theorem1_conditions(
     (i)   neither endpoint is in M;
     (ii)  u in M, v is a private neighbor of u w.r.t. M, and u's private
           neighbors are not all within {u, v};
-    (iii) mirror of (ii) with the endpoints swapped. With literal=True the
-          last clause of (iii) instead inspects the private neighbors of the
-          endpoint that is *not* in M, which is vacuous by definition; it is
-          kept only so audit runs can compare both readings.
+    (iii) mirror of (ii) with the endpoints swapped. With literal=True (iii)
+          is always False: its last clause asks for private neighbors of u
+          outside {u, v}, but u is then a private neighbor of v w.r.t. M, so
+          u is not in M and no vertex is dominated by u alone. The reading is
+          kept so audit runs can compare both.
     """
     value = gamma_value(g, p)
     if value is None or M.bit_count() != value or not is_dominating(g, M) or \
@@ -89,20 +80,14 @@ def check_theorem1_conditions(
 
     cond_i = not M & pair
 
-    def half(a, abit, bbit, literal_clause):
+    def half(a, abit, bbit):
         if not M & abit:
             return False
         pn_a = private_neighbors(g, a, M)
-        if not pn_a & bbit:
-            return False
-        clause_set = literal_clause if literal_clause is not None else pn_a
-        return bool(clause_set & ~pair)
+        return bool(pn_a & bbit) and bool(pn_a & ~pair)
 
-    cond_ii = half(u, ubit, vbit, None)
-    if literal:
-        cond_iii = half(v, vbit, ubit, _pn_unrestricted(g, u, M))
-    else:
-        cond_iii = half(v, vbit, ubit, None)
+    cond_ii = half(u, ubit, vbit)
+    cond_iii = not literal and half(v, vbit, ubit)
     return ConditionCheck(cond_i, cond_ii, cond_iii)
 
 

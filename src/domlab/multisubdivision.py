@@ -111,7 +111,11 @@ def msd_graph(g: Graph, p: PropertyDescriptor, cap: int = DEFAULT_CAP) -> MsdGra
     edges = g.edges()
     if not edges:
         raise ValueError("multisubdivision numbers need at least one edge")
-    profiles = [profile(g, e, p, cap) for e in edges]
+    return edge_minima([profile(g, e, p, cap) for e in edges])
+
+
+def edge_minima(profiles: list[MsdProfile]) -> MsdGraph:
+    """The graph-level numbers from the profiles of all of a graph's edges."""
     if not all(pr.in_scope for pr in profiles):
         return MsdGraph(None, None, None)
     return MsdGraph(

@@ -5,15 +5,18 @@ instance over a graph stream and collects violations; an empty violation
 list means the statement held on the whole corpus. Suites are gated by the
 property flags their statement assumes: running a suite outside its scope
 yields a "skip" status (never a silent pass), because a violation outside
-the hypotheses would be meaningless.
+the hypotheses would be meaningless. Each suite names the statement it
+checks, and STATEMENT_COVERAGE, statement -> suites, is read off SUITES.
 
-Verification runs per graph: each graph is one task that runs every selected
-in-scope (suite, property) pair on it. The task is the graph's facts table:
-suites read from it the edited graphs (G with e subdivided, G-e, G-v), the
-minimum sets of G and the per-edge checks, and each fact is computed at most
-once per graph. Edited graphs depend on no property, so one copy serves all.
-With jobs > 1 the tasks run on a process pool and are merged back in corpus
-order; corpus-level suites (FLAG-audit) stay serial.
+One walk serves suites and scans: each graph is one task that runs every
+selected (check, property) pair on it, where a check is a per-graph suite
+or a scan assertion. The task is the graph's facts table: checks read from
+it the edited graphs (G with e subdivided, G-e, G-v), the minimum sets of G,
+the per-edge checks and the capped multisubdivision numbers, and each fact
+is computed at most once per graph. Edited graphs depend on no property, so
+one copy serves all. With jobs > 1 the tasks run on a process pool and are
+merged back in corpus order; corpus-level suites (FLAG-audit) stay serial,
+and so do scans.
 
 Reports are deterministic: two runs over the same corpus and options produce
 identical output except for the elapsed field, the summed time of the
@@ -107,9 +110,9 @@ def _scope_any(p: PropertyDescriptor) -> str | None:
 @dataclass
 class _GraphTask:
     """The facts table of one graph: the run's options and each fact about g
-    that a suite has computed so far (an edited copy of g, its minimum sets,
-    a per-edge check). A task lives as long as its graph's checks, so the
-    table needs no bound."""
+    that a check has computed so far (an edited copy of g, its minimum sets,
+    a per-edge check, its capped msd). A task lives as long as its graph's
+    checks, so the table needs no bound."""
 
     g: Graph
     options: VerifyOptions
@@ -366,48 +369,36 @@ def _check_oracle_equiv(g: Graph, p: PropertyDescriptor, task: _GraphTask):
 
 @dataclass(frozen=True)
 class _Suite:
+    statement: str  # the verified statement this suite is a facet of
     scope: Callable[[PropertyDescriptor], str | None]
     per_graph: Callable | None  # None: corpus-level suite
 
 
 SUITES: dict[str, _Suite] = {
-    "T1-bound": _Suite(_hereditary_k1, _check_t1_bound),
-    "T1-necessity": _Suite(_hereditary_k1, _check_t1_necessity),
-    "COR2-iff": _Suite(_scope_unrestricted_only, _check_cor2_iff),
-    "T3-equiv": _Suite(_induced_k1, _check_t3_equiv),
-    "COR4-classes": _Suite(_induced_k1, _check_cor4_classes),
-    "T5-sandwich": _Suite(_induced_k1, _check_t5_sandwich),
-    "T5-A1A2": _Suite(_induced_k1, _check_t5_a1a2),
-    "T5-A1A3": _Suite(_hereditary_k1, _check_t5_a1a3),
-    "T6-iff": _Suite(_hereditary_k1, _check_t6_iff),
-    "T6-chain": _Suite(_hereditary_k1, _check_t6_chain),
-    "T6-msd3": _Suite(_hereditary_k1, _check_t6_msd3),
-    "TA-vertex": _Suite(_nondegenerate_k1, _check_ta_vertex),
-    "TB-edgeadd": _Suite(_hereditary_k1, _check_tb_edgeadd),
-    "TC-plus1-lemma": _Suite(_hereditary_k1, _check_tc_plus1),
-    "FLAG-audit": _Suite(_scope_any, None),
-    "ORACLE-equiv": _Suite(_scope_any, _check_oracle_equiv),
+    "T1-bound": _Suite("single-subdivision-bound", _hereditary_k1, _check_t1_bound),
+    "T1-necessity": _Suite("single-subdivision-bound", _hereditary_k1, _check_t1_necessity),
+    "COR2-iff": _Suite("s-plus-iff-ordinary-domination", _scope_unrestricted_only,
+                       _check_cor2_iff),
+    "T3-equiv": _Suite("s-minus-iff-er-minus", _induced_k1, _check_t3_equiv),
+    "COR4-classes": _Suite("criticality-classes-coincide", _induced_k1, _check_cor4_classes),
+    "T5-sandwich": _Suite("triple-subdivision-sandwich", _induced_k1, _check_t5_sandwich),
+    "T5-A1A2": _Suite("triple-subdivision-sandwich", _induced_k1, _check_t5_a1a2),
+    "T5-A1A3": _Suite("triple-subdivision-sandwich", _hereditary_k1, _check_t5_a1a3),
+    "T6-iff": _Suite("multisubdivision-master", _hereditary_k1, _check_t6_iff),
+    "T6-chain": _Suite("multisubdivision-master", _hereditary_k1, _check_t6_chain),
+    "T6-msd3": _Suite("multisubdivision-master", _hereditary_k1, _check_t6_msd3),
+    "TA-vertex": _Suite("vertex-removal-lemma", _nondegenerate_k1, _check_ta_vertex),
+    "TB-edgeadd": _Suite("edge-addition-lemma", _hereditary_k1, _check_tb_edgeadd),
+    "TC-plus1-lemma": _Suite("plus-one-edge-lemma", _hereditary_k1, _check_tc_plus1),
+    "FLAG-audit": _Suite("property-flag-audit", _scope_any, None),
+    "ORACLE-equiv": _Suite("solver-oracle-equivalence", _scope_any, _check_oracle_equiv),
 }
 
-# every verified statement maps to its suite facets; checked at import so a
-# new statement cannot be added without a suite (and vice versa)
+# every verified statement -> its suite facets, in registry order
 STATEMENT_COVERAGE: dict[str, tuple[str, ...]] = {
-    "single-subdivision-bound": ("T1-bound", "T1-necessity"),
-    "s-plus-iff-ordinary-domination": ("COR2-iff",),
-    "s-minus-iff-er-minus": ("T3-equiv",),
-    "criticality-classes-coincide": ("COR4-classes",),
-    "triple-subdivision-sandwich": ("T5-sandwich", "T5-A1A2", "T5-A1A3"),
-    "multisubdivision-master": ("T6-iff", "T6-chain", "T6-msd3"),
-    "vertex-removal-lemma": ("TA-vertex",),
-    "edge-addition-lemma": ("TB-edgeadd",),
-    "plus-one-edge-lemma": ("TC-plus1-lemma",),
-    "property-flag-audit": ("FLAG-audit",),
-    "solver-oracle-equivalence": ("ORACLE-equiv",),
+    statement: tuple(s for s, suite in SUITES.items() if suite.statement == statement)
+    for statement in dict.fromkeys(suite.statement for suite in SUITES.values())
 }
-
-_covered = [s for suites in STATEMENT_COVERAGE.values() for s in suites]
-if sorted(_covered) != sorted(SUITES) or len(set(_covered)) != len(_covered):
-    raise RuntimeError("suite registry out of sync with statement coverage")
 
 
 def _run_flag_audit(p: PropertyDescriptor, graphs: list[Graph]) -> list[Violation]:
@@ -430,14 +421,44 @@ def run_suite(
 
 
 def _check_graph(pairs, options: VerifyOptions, g: Graph):
-    """One task: (violations, seconds) of each (suite, property) pair on g."""
+    """One task: (hits, seconds) of each (check id, property) pair on g. A
+    check id names a per-graph suite or a scan assertion."""
     task = _GraphTask(g, options)
     out = []
-    for suite_id, p in pairs:
+    for check_id, p in pairs:
+        check = SUITES[check_id].per_graph if check_id in SUITES else ASSERTIONS[check_id]
         started = time.perf_counter()
-        hits = SUITES[suite_id].per_graph(g, p, task)
+        hits = check(g, p, task)
         out.append((hits, time.perf_counter() - started))
     return out
+
+
+def _walk(pairs, options: VerifyOptions, graphs: Iterable[Graph]):
+    """Run each (check id, property) pair over the corpus: one _check_graph
+    task per graph, on a process pool when options.jobs > 1, merged back in
+    corpus order, so the result is identical to a serial run. Returns per
+    pair its hits, the number of graphs it checked and its summed seconds.
+    With fail_fast, a pair ignores the graphs after its first hit."""
+    hits, checked, seconds = [[] for _ in pairs], [0] * len(pairs), [0.0] * len(pairs)
+    check = functools.partial(_check_graph, tuple(pairs), options)
+    pool = multiprocessing.Pool(options.jobs) if pairs and options.jobs > 1 else None
+    try:
+        outcomes = pool.imap(check, graphs, chunksize=4) if pool else map(check, graphs)
+        open_pairs = range(len(pairs))
+        for outcome in outcomes:
+            for i in open_pairs:
+                hits[i].extend(outcome[i][0])
+                checked[i] += 1
+                seconds[i] += outcome[i][1]
+            if options.fail_fast:
+                open_pairs = [i for i in open_pairs if not hits[i]]
+                if not open_pairs:
+                    break
+    finally:
+        if pool is not None:
+            pool.terminate()
+            pool.join()
+    return list(zip(hits, checked, seconds))
 
 
 def run_suites(
@@ -448,17 +469,16 @@ def run_suites(
 ) -> list[SuiteReport]:
     """Run each suite for each property; reports in (suite, property) order.
 
-    Per-graph suites run graph by graph, all in-scope pairs in one task per
-    graph; with options.jobs > 1 the tasks go to a process pool and come
-    back in corpus order, so the output is identical to a serial run. With
-    fail_fast, a pair ignores the graphs after its first violating one.
+    Per-graph suites run in one walk over the corpus, all in-scope pairs in
+    one task per graph (see _walk). Corpus-level suites run serially.
     """
+    for suite_id in suite_ids:
+        if suite_id not in SUITES:
+            raise ValueError(f"unknown suite {suite_id!r}; known: {', '.join(SUITES)}")
     opt = options or VerifyOptions()
     graphs = list(corpus)
     reports, pairs, pending = [], [], []  # pending: reports of the pairs
     for suite_id in suite_ids:
-        if suite_id not in SUITES:
-            raise ValueError(f"unknown suite {suite_id!r}; known: {', '.join(SUITES)}")
         suite = SUITES[suite_id]
         for p in properties:
             started = time.perf_counter()
@@ -474,25 +494,8 @@ def run_suites(
                 report.violations = _run_flag_audit(p, graphs)
                 report.graphs_checked = len(graphs)
             report.elapsed = time.perf_counter() - started
-    check = functools.partial(_check_graph, tuple(pairs), opt)
-    pool = multiprocessing.Pool(opt.jobs) if pairs and opt.jobs > 1 else None
-    try:
-        outcomes = pool.imap(check, graphs, chunksize=4) if pool else map(check, graphs)
-        open_pairs = range(len(pairs))
-        for outcome in outcomes:
-            for i in open_pairs:
-                hits, seconds = outcome[i]
-                pending[i].graphs_checked += 1
-                pending[i].violations.extend(hits)
-                pending[i].elapsed += seconds
-            if opt.fail_fast:
-                open_pairs = [i for i in open_pairs if not pending[i].violations]
-                if not open_pairs:
-                    break
-    finally:
-        if pool is not None:
-            pool.terminate()
-            pool.join()
+    for report, (hits, checked, seconds) in zip(pending, _walk(pairs, opt, graphs)):
+        report.violations, report.graphs_checked, report.elapsed = hits, checked, seconds
     for report in reports:
         if report.violations:
             report.status = "fail"
@@ -502,58 +505,53 @@ def run_suites(
 # -------------------------------------------------- counterexample scans --
 
 
-def _has_cut_vertex(g: Graph) -> bool:
+def _has_cut_vertex(task: _GraphTask) -> bool:
+    g = task.g
     base = len(components(g))
     for v in range(g.n):
-        smaller, _ = delete_vertex(g, v)
+        smaller, _ = task.once(delete_vertex, v)
         if smaller.n and len(components(smaller)) > base:
             return True
     return False
 
 
-def _scan_s_class(i: int):
-    def scan(g: Graph, p: PropertyDescriptor):
-        if not g.edges():
-            return None
-        m = msd_graph(g, p, cap=3).msd
-        if m == i:
-            return {"msd": m}
-        return None
-
-    return scan
-
-
-def _scan_msd_above_3(g: Graph, p: PropertyDescriptor):
+def _scan_s_class(i: int, g: Graph, p: PropertyDescriptor, task: _GraphTask):
     if not g.edges():
-        return None
-    m = msd_graph(g, p, cap=3).msd
+        return []
+    m = task.once(msd_graph, p, 3).msd
+    return [_record(g, label=g.label, msd=m)] if m == i else []
+
+
+def _scan_msd_above_3(g: Graph, p: PropertyDescriptor, task: _GraphTask):
+    if not g.edges():
+        return []
+    m = task.once(msd_graph, p, 3).msd
     if m is not None and not isinstance(m, int):
-        return {"msd": str(m)}
-    return None
+        return [_record(g, label=g.label, msd=str(m))]
+    return []
 
 
-def _scan_er_minus_exists(g: Graph, p: PropertyDescriptor):
+def _scan_er_minus_exists(g: Graph, p: PropertyDescriptor, task: _GraphTask):
     base = gamma_value(g, p)
     if base is None:
-        return None
+        return []
     for e in g.edges():
-        deleted = gamma_value(delete_edge(g, e), p)
+        deleted = gamma_value(task.once(delete_edge, e), p)
         if deleted is not None and deleted < base:
-            return {"edge": list(e), "gamma": base, "gamma_deleted": deleted}
-    return None
+            return [_record(g, label=g.label, edge=list(e), gamma=base,
+                            gamma_deleted=deleted)]
+    return []
 
 
-def _scan_s2_cut_vertex(g: Graph, p: PropertyDescriptor):
-    hit = _scan_s_class(2)(g, p)
-    if hit is not None and _has_cut_vertex(g):
-        return hit
-    return None
+def _scan_s2_cut_vertex(g: Graph, p: PropertyDescriptor, task: _GraphTask):
+    hits = _scan_s_class(2, g, p, task)
+    return hits if hits and _has_cut_vertex(task) else []
 
 
 ASSERTIONS = {
-    "in-S1": _scan_s_class(1),
-    "in-S2": _scan_s_class(2),
-    "in-S3": _scan_s_class(3),
+    "in-S1": functools.partial(_scan_s_class, 1),
+    "in-S2": functools.partial(_scan_s_class, 2),
+    "in-S3": functools.partial(_scan_s_class, 3),
     "msd-above-3": _scan_msd_above_3,
     "er-minus-exists": _scan_er_minus_exists,
     "s2-with-cut-vertex": _scan_s2_cut_vertex,
@@ -563,19 +561,12 @@ ASSERTIONS = {
 def scan_counterexamples(
     assertion_id: str, p: PropertyDescriptor, corpus: Iterable[Graph]
 ) -> list[Violation]:
-    """Exploratory scan: emit the graphs matching a predicate, in order."""
+    """Exploratory scan: the hit records of one assertion, in corpus order."""
     if assertion_id not in ASSERTIONS:
         raise ValueError(
             f"unknown assertion {assertion_id!r}; known: {', '.join(sorted(ASSERTIONS))}"
         )
-    predicate = ASSERTIONS[assertion_id]
-    hits = []
-    for g in corpus:
-        found = predicate(g, p)
-        if found is not None:
-            record = {"graph6": to_graph6(g), "label": g.label}
-            record.update(found)
-            hits.append(record)
+    [(hits, _, _)] = _walk([(assertion_id, p)], VerifyOptions(), corpus)
     return hits
 
 

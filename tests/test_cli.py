@@ -22,6 +22,25 @@ def jsonl(text):
     return [json.loads(line) for line in text.splitlines() if line]
 
 
+def benchmark_reference(key):
+    """The benchmark's stored digests of one command's lines, read as data
+    (perfbench is not imported)."""
+    return json.loads(BENCH_REFERENCE.read_text())[key]["lines"]
+
+
+def report_digests(out):
+    """Each verify report line as the benchmark stores it; a digest covers
+    every field of the line but elapsed."""
+    got = []
+    for record in jsonl(out):
+        del record["elapsed"]
+        text = json.dumps(record, sort_keys=True, separators=(",", ":"))
+        got.append([record["suite"], record["property"], record["status"],
+                    record["graphs_checked"],
+                    hashlib.sha256(text.encode()).hexdigest()[:12]])
+    return got
+
+
 @pytest.fixture
 def g6_file(tmp_path):
     f = tmp_path / "in.g6"
@@ -162,7 +181,8 @@ class TestVerify:
         from domlab import verifier
 
         probe = verifier._Suite(
-            lambda p: None, lambda g, p, opt: [{"graph6": "x", "detail": "boom"}]
+            "test-statement", lambda p: None,
+            lambda g, p, opt: [{"graph6": "x", "detail": "boom"}]
         )
         monkeypatch.setitem(verifier.SUITES, "TEST-fail", probe)
         f = tmp_path / "c.g6"
@@ -215,22 +235,25 @@ class TestVerify:
                    for r in records)
 
     def test_flag_audit_report_matches_benchmark_reference(self, capsys):
-        # the benchmark's stored digests of this command's lines, read as
-        # data (perfbench is not imported); a digest covers every field of a
-        # line but elapsed
-        reference = json.loads(BENCH_REFERENCE.read_text())["tiny/flag-audit/0"]["lines"]
+        reference = benchmark_reference("tiny/flag-audit/0")
         code, out, _ = run_cli(capsys, "verify", "--suites", "FLAG-audit",
                                "--properties", "I,O,C,T,F,UK,D:1",
                                "--corpus", "bundled:n5all")
         assert code == 0
-        got = []
-        for record in jsonl(out):
-            del record["elapsed"]
-            text = json.dumps(record, sort_keys=True, separators=(",", ":"))
-            got.append([record["suite"], record["property"], record["status"],
-                        record["graphs_checked"],
-                        hashlib.sha256(text.encode()).hexdigest()[:12]])
-        assert got == reference
+        assert report_digests(out) == reference
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_verify_report_matches_benchmark_reference(self, capsys, jobs):
+        # the small verify-n7c command: every per-graph suite x I,O,F,UK,D:1
+        # on n5all, suites and properties in the reference's order
+        reference = benchmark_reference("tiny/verify-n7c/0")
+        suites = ",".join(dict.fromkeys(line[0] for line in reference))
+        properties = ",".join(dict.fromkeys(line[1] for line in reference))
+        code, out, _ = run_cli(capsys, "verify", "--suites", suites,
+                               "--properties", properties,
+                               "--corpus", "bundled:n5all", "--jobs", jobs)
+        assert code == 0
+        assert report_digests(out) == reference
 
 
 class TestScan:

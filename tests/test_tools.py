@@ -1,0 +1,26 @@
+"""tools/same_reports.py: report files compared apart from elapsed."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+SAME_REPORTS = Path(__file__).resolve().parents[1] / "tools" / "same_reports.py"
+
+
+def test_same_reports(tmp_path):
+    a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    a.write_text('{"suite": "T1-bound", "elapsed": 1.5}\n{"suite": "T3-equiv", "elapsed": 0.1}\n')
+    b.write_text('{"suite": "T1-bound", "elapsed": 2.0}\n{"suite": "T3-equiv", "elapsed": 0.3}\n')
+
+    def compare():
+        return subprocess.run([sys.executable, str(SAME_REPORTS), str(a), str(b)],
+                              capture_output=True, text=True, timeout=60)
+
+    same = compare()
+    assert same.returncode == 0 and same.stdout == ""
+    b.write_text('{"suite": "T1-bound", "elapsed": 2.0}\n{"suite": "T3-equiv", "status": "fail"}\n')
+    differ = compare()
+    assert differ.returncode == 1 and "line 2" in differ.stdout
+    b.write_text('{"suite": "T1-bound", "elapsed": 2.0}\n')
+    shorter = compare()
+    assert shorter.returncode == 1 and "line 2" in shorter.stdout

@@ -8,21 +8,29 @@ import pytest
 
 from domlab import (
     ANY_GRAPH,
+    ASSERTIONS,
     CLIQUE_COMPONENTS,
     CONNECTED,
     EDGELESS,
     NO_ISOLATED,
     CorpusError,
+    MsdMarker,
     PropertyDescriptor,
     STATEMENT_COVERAGE,
     SUITES,
     VerifyOptions,
     all_reports_pass,
+    classify_edge,
     complete,
     complete_multipartite,
+    components,
     cycle,
+    delete_edge,
+    delete_vertex,
     emit_report,
+    gamma_value,
     load_corpus,
+    msd_graph,
     parse_property,
     path,
     resolve_corpus,
@@ -39,8 +47,20 @@ SMALL = [path(2), path(3), cycle(3), cycle(4), star(3)]
 class TestRegistry:
     def test_every_statement_has_suites_and_vice_versa(self):
         covered = [s for suites in STATEMENT_COVERAGE.values() for s in suites]
-        assert sorted(covered) == sorted(SUITES)
-        assert len(set(covered)) == len(covered)
+        assert covered == list(SUITES)
+        assert list(STATEMENT_COVERAGE.items()) == [
+            ("single-subdivision-bound", ("T1-bound", "T1-necessity")),
+            ("s-plus-iff-ordinary-domination", ("COR2-iff",)),
+            ("s-minus-iff-er-minus", ("T3-equiv",)),
+            ("criticality-classes-coincide", ("COR4-classes",)),
+            ("triple-subdivision-sandwich", ("T5-sandwich", "T5-A1A2", "T5-A1A3")),
+            ("multisubdivision-master", ("T6-iff", "T6-chain", "T6-msd3")),
+            ("vertex-removal-lemma", ("TA-vertex",)),
+            ("edge-addition-lemma", ("TB-edgeadd",)),
+            ("plus-one-edge-lemma", ("TC-plus1-lemma",)),
+            ("property-flag-audit", ("FLAG-audit",)),
+            ("solver-oracle-equivalence", ("ORACLE-equiv",)),
+        ]
 
     def test_expected_suite_ids(self):
         assert set(SUITES) == {
@@ -105,6 +125,7 @@ class TestReports:
         from domlab import verifier
 
         probe = verifier._Suite(
+            "test-statement",
             lambda p: None,
             lambda g, p, opt: [{"graph6": "x", "detail": "always"}],
         )
@@ -130,6 +151,23 @@ class TestReports:
         first = normalize(run_suites(suites, props, corpus))
         second = normalize(run_suites(suites, props, corpus))
         assert first == second
+
+    def test_literal_iii_reports_conditions_i_and_ii_alone(self):
+        # literal (iii) never holds, so the literal COR2-iff run compares S+
+        # criticality with "every minimum set meets (i) or (ii)"
+        corpus = load_corpus("n6all")
+        expected = []
+        for g in corpus:
+            for e in g.edges():
+                c = classify_edge(g, e, ANY_GRAPH)
+                rhs = all(cond.i or cond.ii for _, cond in c.condition_report)
+                if c.s_plus != rhs:
+                    expected.append((to_graph6(g), list(e), c.s_plus, rhs))
+        r = run_suite("COR2-iff", ANY_GRAPH, corpus, VerifyOptions(literal_iii=True))
+        got = [(v["graph6"], v["edge"], v["s_plus"], v["conditions_all"])
+               for v in r.violations]
+        assert got == expected
+        assert len(got) == 372
 
     def test_parallel_matches_serial(self):
         corpus = load_corpus("n5all")[:20]
@@ -222,6 +260,7 @@ class TestPerGraphLoop:
         k = 7
         target = to_graph6(corpus[k])
         probe = verifier._Suite(
+            "test-statement",
             lambda p: None,
             lambda g, p, task: ([{"graph6": target, "detail": "probe"}]
                                 if to_graph6(g) == target else []),
@@ -238,7 +277,50 @@ class TestPerGraphLoop:
         assert real.graphs_checked == len(corpus)
 
 
+def _has_cut_vertex(g):
+    base = len(components(g))
+    return g.n > 1 and any(len(components(delete_vertex(g, v)[0])) > base
+                           for v in range(g.n))
+
+
+def _first_er_minus_edge(g, p):
+    base = gamma_value(g, p)
+    if base is None:
+        return None
+    for e in g.edges():
+        deleted = gamma_value(delete_edge(g, e), p)
+        if deleted is not None and deleted < base:
+            return {"edge": list(e), "gamma": base, "gamma_deleted": deleted}
+    return None
+
+
+def _scan_reference(g, p):
+    """Each assertion's hit details on g, read off its definition; None: no hit."""
+    m = msd_graph(g, p, cap=3).msd if g.edges() else None
+    return {
+        "in-S1": {"msd": 1} if m == 1 else None,
+        "in-S2": {"msd": 2} if m == 2 else None,
+        "in-S3": {"msd": 3} if m == 3 else None,
+        "msd-above-3": {"msd": str(m)} if isinstance(m, MsdMarker) else None,
+        "er-minus-exists": _first_er_minus_edge(g, p),
+        "s2-with-cut-vertex": {"msd": 2} if m == 2 and _has_cut_vertex(g) else None,
+    }
+
+
 class TestScans:
+    @pytest.mark.parametrize("key", ["I", "O", "C", "T", "F", "UK", "D:1", "D:2"])
+    def test_scans_match_their_definitions(self, key):
+        p = parse_property(key)
+        corpus = load_corpus("n6all")
+        expected = {a: [] for a in ASSERTIONS}
+        for g in corpus:
+            for a, found in _scan_reference(g, p).items():
+                if found is not None:
+                    expected[a].append({"graph6": to_graph6(g), "label": g.label, **found})
+        assert expected["in-S1"]  # the reference is not vacuous
+        for a in ASSERTIONS:
+            assert scan_counterexamples(a, p, corpus) == expected[a], a
+
     def test_paths_in_s2(self):
         paths = [path(n) for n in range(2, 15)]
         hits = scan_counterexamples("in-S2", ANY_GRAPH, paths)
