@@ -7,16 +7,37 @@ field, which only carries provenance (e.g. the source graph6 line).
 Edit operations return new graphs. Vertex deletion and induced subgraphs
 compact ids order-preservingly and return the kept-id table alongside, so
 vertex sets computed in the smaller graph can be translated back.
+
+Edge deletion, vertex deletion and subdivision are memoised, each memo
+bounded by one graph's working set (MEMO_SIZE): graphs are immutable, so
+every caller of an edit can share one copy of its result.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .bitset import VertexSet, bitmask, iter_bits, members
 
 Edge = tuple[int, int]
+
+MEMO_SIZE = 256  # 8 vertices: 28 edges x 6 subdivisions, or x 8 properties
+
+
+def memo_by_edge(fn):
+    """lru_cache(MEMO_SIZE) for fn(g, e, *args), keyed on the normalised
+    edge: [u, v], (u, v) and (v, u) share one entry."""
+    cached = functools.lru_cache(maxsize=MEMO_SIZE)(fn)
+
+    @functools.wraps(fn)
+    def memoised(g, e, *args):
+        u, v = e
+        return cached(g, (u, v) if u < v else (v, u), *args)
+
+    memoised.cache_info, memoised.cache_clear = cached.cache_info, cached.cache_clear
+    return memoised
 
 
 @dataclass(frozen=True)
@@ -114,6 +135,7 @@ def degree(g: Graph, v: int) -> int:
     return g.adj[v].bit_count()
 
 
+@memo_by_edge
 def delete_edge(g: Graph, e: Edge) -> Graph:
     u, v = _check_edge(g, e)
     rows = list(g.adj)
@@ -137,6 +159,7 @@ def add_edge(g: Graph, e: Edge) -> Graph:
     return Graph(g.n, tuple(rows))
 
 
+@functools.lru_cache(maxsize=MEMO_SIZE)
 def delete_vertex(g: Graph, v: int) -> tuple[Graph, tuple[int, ...]]:
     """Remove v, compacting ids order-preservingly.
 
@@ -153,6 +176,7 @@ def delete_vertex(g: Graph, v: int) -> tuple[Graph, tuple[int, ...]]:
     return Graph(g.n - 1, tuple(rows)), kept
 
 
+@memo_by_edge
 def subdivide_edge(g: Graph, e: Edge, t: int) -> Graph:
     """Replace edge (u,v) by the path u, x1, ..., xt, v.
 

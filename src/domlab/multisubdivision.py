@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 from .errors import BoundViolation
 from . import formats
-from .graph import Edge, Graph, delete_edge, delete_vertex, subdivide_edge
+from .graph import Edge, Graph, delete_edge, delete_vertex, memo_by_edge, subdivide_edge
 from .properties import PropertyDescriptor, require
 from .solver import gamma_value, in_some_minimum_set
 
@@ -182,6 +182,7 @@ def _a2_conditions(g: Graph, e: Edge, p: PropertyDescriptor,
     return side(u, v) or side(v, u)
 
 
+@memo_by_edge
 def check_multi1(g: Graph, e: Edge, p: PropertyDescriptor) -> Multi1Check:
     """Sandwich bound and the three equivalent conditions for one edge.
 
@@ -192,18 +193,15 @@ def check_multi1(g: Graph, e: Edge, p: PropertyDescriptor) -> Multi1Check:
     here); a1 <=> a3 additionally needs hereditary (gated by the caller).
     """
     require(p, "induced_hereditary")
-    u, v = e
-    if u > v:
-        u, v = v, u
     base = gamma_value(g, p)
-    deleted = gamma_value(delete_edge(g, (u, v)), p)
-    sub3 = gamma_value(subdivide_edge(g, (u, v), 3), p)
+    deleted = gamma_value(delete_edge(g, e), p)
+    sub3 = gamma_value(subdivide_edge(g, e, 3), p)
     # induced-hereditary + K1-closed implies nondegenerate: all finite
     sandwich = deleted <= sub3 <= deleted + 1
     return Multi1Check(
         sandwich=sandwich,
         a1=deleted == sub3,
-        a2=_a2_conditions(g, (u, v), p, deleted),
+        a2=_a2_conditions(g, e, p, deleted),
         a3=deleted == 1 + base,
         gamma=base,
         gamma_deleted=deleted,
@@ -218,6 +216,7 @@ class Multi4Check(NamedTuple):
     profile: MsdProfile
 
 
+@memo_by_edge
 def check_multi4(g: Graph, e: Edge, p: PropertyDescriptor) -> Multi4Check:
     """Per-edge checks of the multisubdivision master statement.
 
@@ -228,13 +227,10 @@ def check_multi4(g: Graph, e: Edge, p: PropertyDescriptor) -> Multi4Check:
     edge's multisubdivision number is at most 3.
     """
     require(p, "hereditary")
-    u, v = e
-    if u > v:
-        u, v = v, u
     base = gamma_value(g, p)
-    deleted = gamma_value(delete_edge(g, (u, v)), p)
+    deleted = gamma_value(delete_edge(g, e), p)
     antecedent = base == deleted + 1
-    prof = profile(g, (u, v), p, cap=6 if antecedent else 3)
+    prof = profile(g, e, p, cap=6 if antecedent else 3)
     iff_holds = (base == prof.values[3]) == antecedent
     chain = None
     if antecedent:

@@ -10,13 +10,13 @@ checks, and STATEMENT_COVERAGE, statement -> suites, is read off SUITES.
 
 One walk serves suites and scans: each graph is one task that runs every
 selected (check, property) pair on it, where a check is a per-graph suite
-or a scan assertion. The task is the graph's facts table: checks read from
-it the edited graphs (G with e subdivided, G-e, G-v), the minimum sets of G,
-the per-edge checks and the capped multisubdivision numbers, and each fact
-is computed at most once per graph. Edited graphs depend on no property, so
-one copy serves all. With jobs > 1 the tasks run on a process pool and are
-merged back in corpus order; corpus-level suites (FLAG-audit) stay serial,
-and so do scans.
+or a scan assertion taking (g, p, options). Checks call the edits and the
+per-edge checks directly; the memos live with those functions (the edits
+in graph.py, check_multi1 and check_multi4 in multisubdivision.py, gamma in
+solver.py), so an edited graph or a per-edge check computed for one check
+or property serves every other. With jobs > 1 the tasks run on a process
+pool of at most one worker per graph and are merged back in corpus order;
+corpus-level suites (FLAG-audit) stay serial, and so do scans.
 
 Reports are deterministic: two runs over the same corpus and options produce
 identical output except for the elapsed field, the summed time of the
@@ -45,7 +45,7 @@ from .graph import (
     subdivide_edge,
     translate_set,
 )
-from .multisubdivision import check_multi1, check_multi4, msd_graph
+from .multisubdivision import MsdMarker, check_multi1, check_multi4, msd_graph
 from .properties import PropertyDescriptor, audit_flags, holds_induced, out_of_scope
 from .solver import (
     all_minimum_sets,
@@ -107,25 +107,6 @@ def _scope_any(p: PropertyDescriptor) -> str | None:
     return None
 
 
-@dataclass
-class _GraphTask:
-    """The facts table of one graph: the run's options and each fact about g
-    that a check has computed so far (an edited copy of g, its minimum sets,
-    a per-edge check, its capped msd). A task lives as long as its graph's
-    checks, so the table needs no bound."""
-
-    g: Graph
-    options: VerifyOptions
-    _memo: dict = field(default_factory=dict)
-
-    def once(self, fn, *args):
-        """fn(g, *args), computed once per task."""
-        key = (fn, *args)
-        if key not in self._memo:
-            self._memo[key] = fn(self.g, *args)
-        return self._memo[key]
-
-
 def _record(g: Graph, **details) -> Violation:
     out = {"graph6": to_graph6(g)}
     out.update(details)
@@ -135,29 +116,30 @@ def _record(g: Graph, **details) -> Violation:
 # ---------------------------------------------------------------- suites --
 
 
-def _check_t1_bound(g: Graph, p: PropertyDescriptor, task: _GraphTask):
+def _check_t1_bound(g: Graph, p: PropertyDescriptor, options: VerifyOptions):
     base = gamma_value(g, p)
     out = []
     for e in g.edges():
-        sub = gamma_value(task.once(subdivide_edge, e, 1), p)
+        sub = gamma_value(subdivide_edge(g, e, 1), p)
         if sub > base + 1:
             out.append(_record(g, edge=list(e), gamma=base, gamma_subdivided=sub,
                                detail="single subdivision raised gamma by more than one"))
     return out
 
 
-def _check_t1_necessity(g: Graph, p: PropertyDescriptor, task: _GraphTask):
+def _check_t1_necessity(g: Graph, p: PropertyDescriptor, options: VerifyOptions):
     base = gamma_value(g, p)
+    min_sets = all_minimum_sets(g, p)
     out = []
     for e in g.edges():
-        sub = gamma_value(task.once(subdivide_edge, e, 1), p)
+        sub = gamma_value(subdivide_edge(g, e, 1), p)
         if sub <= base:
             continue
         if sub != base + 1:
             out.append(_record(g, edge=list(e), gamma=base, gamma_subdivided=sub,
                                detail="critical edge without the forced +1 value"))
-        for M in task.once(all_minimum_sets, p):
-            cond = check_theorem1_conditions(g, e, p, M, literal=task.options.literal_iii)
+        for M in min_sets:
+            cond = check_theorem1_conditions(g, e, p, M, literal=options.literal_iii)
             if not cond.any:
                 out.append(_record(
                     g, edge=list(e), minimum_set=members(M),
@@ -165,14 +147,14 @@ def _check_t1_necessity(g: Graph, p: PropertyDescriptor, task: _GraphTask):
     return out
 
 
-def _check_cor2_iff(g: Graph, p: PropertyDescriptor, task: _GraphTask):
+def _check_cor2_iff(g: Graph, p: PropertyDescriptor, options: VerifyOptions):
     base = gamma_value(g, p)
-    min_sets = task.once(all_minimum_sets, p)
+    min_sets = all_minimum_sets(g, p)
     out = []
     for e in g.edges():
-        lhs = gamma_value(task.once(subdivide_edge, e, 1), p) > base
+        lhs = gamma_value(subdivide_edge(g, e, 1), p) > base
         rhs = all(
-            check_theorem1_conditions(g, e, p, M, literal=task.options.literal_iii).any
+            check_theorem1_conditions(g, e, p, M, literal=options.literal_iii).any
             for M in min_sets
         )
         if lhs != rhs:
@@ -181,85 +163,85 @@ def _check_cor2_iff(g: Graph, p: PropertyDescriptor, task: _GraphTask):
     return out
 
 
-def _check_t3_equiv(g: Graph, p: PropertyDescriptor, task: _GraphTask):
+def _check_t3_equiv(g: Graph, p: PropertyDescriptor, options: VerifyOptions):
     base = gamma_value(g, p)
     out = []
     for e in g.edges():
-        s_minus = gamma_value(task.once(subdivide_edge, e, 1), p) < base
-        er_minus = gamma_value(task.once(delete_edge, e), p) < base
+        s_minus = gamma_value(subdivide_edge(g, e, 1), p) < base
+        er_minus = gamma_value(delete_edge(g, e), p) < base
         if s_minus != er_minus:
             out.append(_record(g, edge=list(e), s_minus=s_minus, er_minus=er_minus,
                                detail="subdivision and deletion criticality differ"))
     return out
 
 
-def _check_cor4_classes(g: Graph, p: PropertyDescriptor, task: _GraphTask):
+def _check_cor4_classes(g: Graph, p: PropertyDescriptor, options: VerifyOptions):
     edges = g.edges()
     if not edges:
         return []
     base = gamma_value(g, p)
-    cs = all(gamma_value(task.once(subdivide_edge, e, 1), p) < base for e in edges)
-    cer = all(gamma_value(task.once(delete_edge, e), p) < base for e in edges)
+    cs = all(gamma_value(subdivide_edge(g, e, 1), p) < base for e in edges)
+    cer = all(gamma_value(delete_edge(g, e), p) < base for e in edges)
     if cs != cer:
         return [_record(g, cs_minus=cs, cer_minus=cer,
                         detail="all-edges criticality classes differ")]
     return []
 
 
-def _check_t5_sandwich(g: Graph, p: PropertyDescriptor, task: _GraphTask):
+def _check_t5_sandwich(g: Graph, p: PropertyDescriptor, options: VerifyOptions):
     out = []
     for e in g.edges():
-        m = task.once(check_multi1, e, p)
+        m = check_multi1(g, e, p)
         if not m.sandwich:
             out.append(_record(g, edge=list(e), gamma_deleted=m.gamma_deleted,
                                gamma_sub3=m.gamma_sub3, detail="sandwich bound failed"))
     return out
 
 
-def _check_t5_a1a2(g: Graph, p: PropertyDescriptor, task: _GraphTask):
+def _check_t5_a1a2(g: Graph, p: PropertyDescriptor, options: VerifyOptions):
     out = []
     for e in g.edges():
-        m = task.once(check_multi1, e, p)
+        m = check_multi1(g, e, p)
         if m.a1 != m.a2:
             out.append(_record(g, edge=list(e), a1=m.a1, a2=m.a2,
                                detail="a1 and a2 differ"))
     return out
 
 
-def _check_t5_a1a3(g: Graph, p: PropertyDescriptor, task: _GraphTask):
+def _check_t5_a1a3(g: Graph, p: PropertyDescriptor, options: VerifyOptions):
     out = []
     for e in g.edges():
-        m = task.once(check_multi1, e, p)
+        m = check_multi1(g, e, p)
         if m.a1 != m.a3:
             out.append(_record(g, edge=list(e), a1=m.a1, a3=m.a3,
                                detail="a1 and a3 differ"))
     return out
 
 
-def _check_t6_iff(g: Graph, p: PropertyDescriptor, task: _GraphTask):
+def _check_t6_iff(g: Graph, p: PropertyDescriptor, options: VerifyOptions):
     out = []
     for e in g.edges():
-        m = task.once(check_multi4, e, p)
+        m = check_multi4(g, e, p)
         if not m.iff_holds:
             out.append(_record(g, edge=list(e), values=list(m.profile.values),
                                detail="triple-subdivision iff failed"))
     return out
 
 
-def _check_t6_chain(g: Graph, p: PropertyDescriptor, task: _GraphTask):
+def _check_t6_chain(g: Graph, p: PropertyDescriptor, options: VerifyOptions):
     out = []
     for e in g.edges():
-        m = task.once(check_multi4, e, p)
+        m = check_multi4(g, e, p)
         if m.chain is False:
             out.append(_record(g, edge=list(e), values=list(m.profile.values),
                                detail="seven-term profile chain failed"))
     return out
 
 
-def _check_t6_msd3(g: Graph, p: PropertyDescriptor, task: _GraphTask):
+def _check_t6_msd3(g: Graph, p: PropertyDescriptor, options: VerifyOptions):
     out = []
     for e in g.edges():
-        m = task.once(check_multi4, e, p)
+        m = check_multi4(g, e, p)
         if not m.msd_le_3:
             out.append(_record(g, edge=list(e), msd=str(m.profile.msd),
                                values=list(m.profile.values),
@@ -267,11 +249,11 @@ def _check_t6_msd3(g: Graph, p: PropertyDescriptor, task: _GraphTask):
     return out
 
 
-def _check_ta_vertex(g: Graph, p: PropertyDescriptor, task: _GraphTask):
+def _check_ta_vertex(g: Graph, p: PropertyDescriptor, options: VerifyOptions):
     base = gamma_value(g, p)
     out = []
     for v in range(g.n):
-        smaller, kept = task.once(delete_vertex, v)
+        smaller, kept = delete_vertex(g, v)
         reduced = gamma_value(smaller, p)
         if reduced is None:
             out.append(_record(g, vertex=v,
@@ -300,11 +282,11 @@ def _check_ta_vertex(g: Graph, p: PropertyDescriptor, task: _GraphTask):
     return out
 
 
-def _check_tb_edgeadd(g: Graph, p: PropertyDescriptor, task: _GraphTask):
+def _check_tb_edgeadd(g: Graph, p: PropertyDescriptor, options: VerifyOptions):
     base = gamma_value(g, p)
     out = []
     for e in g.edges():
-        m = task.once(check_multi1, e, p)
+        m = check_multi1(g, e, p)
         if base < m.gamma_deleted and base != m.gamma_deleted - 1:
             out.append(_record(g, edge=list(e), gamma=base,
                                gamma_deleted=m.gamma_deleted,
@@ -316,12 +298,12 @@ def _check_tb_edgeadd(g: Graph, p: PropertyDescriptor, task: _GraphTask):
     return out
 
 
-def _check_tc_plus1(g: Graph, p: PropertyDescriptor, task: _GraphTask):
+def _check_tc_plus1(g: Graph, p: PropertyDescriptor, options: VerifyOptions):
     base = gamma_value(g, p)
     out = []
     for e in g.edges():
         x, y = e
-        reduced_graph = task.once(delete_edge, e)
+        reduced_graph = delete_edge(g, e)
         deleted = gamma_value(reduced_graph, p)
         if base <= deleted:
             continue  # out of this statement's scope
@@ -335,7 +317,7 @@ def _check_tc_plus1(g: Graph, p: PropertyDescriptor, task: _GraphTask):
                 out.append(_record(g, edge=list(e), minimum_set=members(M),
                                    detail="minimum set missing an endpoint"))
         for a, b in ((x, y), (y, x)):
-            smaller, _ = task.once(delete_vertex, a)
+            smaller, _ = delete_vertex(g, a)
             reduced = gamma_value(smaller, p)
             if reduced < deleted:
                 out.append(_record(g, edge=list(e), vertex=a, gamma_deleted=deleted,
@@ -350,7 +332,7 @@ def _check_tc_plus1(g: Graph, p: PropertyDescriptor, task: _GraphTask):
     return out
 
 
-def _check_oracle_equiv(g: Graph, p: PropertyDescriptor, task: _GraphTask):
+def _check_oracle_equiv(g: Graph, p: PropertyDescriptor, options: VerifyOptions):
     fast = gamma(g, p)
     slow = gamma_oracle(g, p)
     out = []
@@ -423,25 +405,26 @@ def run_suite(
 def _check_graph(pairs, options: VerifyOptions, g: Graph):
     """One task: (hits, seconds) of each (check id, property) pair on g. A
     check id names a per-graph suite or a scan assertion."""
-    task = _GraphTask(g, options)
     out = []
     for check_id, p in pairs:
         check = SUITES[check_id].per_graph if check_id in SUITES else ASSERTIONS[check_id]
         started = time.perf_counter()
-        hits = check(g, p, task)
+        hits = check(g, p, options)
         out.append((hits, time.perf_counter() - started))
     return out
 
 
-def _walk(pairs, options: VerifyOptions, graphs: Iterable[Graph]):
+def _walk(pairs, options: VerifyOptions, graphs: list[Graph]):
     """Run each (check id, property) pair over the corpus: one _check_graph
-    task per graph, on a process pool when options.jobs > 1, merged back in
-    corpus order, so the result is identical to a serial run. Returns per
+    task per graph, on a pool of min(options.jobs, len(graphs)) processes
+    when that is above 1, merged back in corpus order, so the result is
+    identical to a serial run. Returns per
     pair its hits, the number of graphs it checked and its summed seconds.
     With fail_fast, a pair ignores the graphs after its first hit."""
     hits, checked, seconds = [[] for _ in pairs], [0] * len(pairs), [0.0] * len(pairs)
     check = functools.partial(_check_graph, tuple(pairs), options)
-    pool = multiprocessing.Pool(options.jobs) if pairs and options.jobs > 1 else None
+    workers = min(options.jobs, len(graphs)) if pairs else 1
+    pool = multiprocessing.Pool(workers) if workers > 1 else None
     try:
         outcomes = pool.imap(check, graphs, chunksize=4) if pool else map(check, graphs)
         open_pairs = range(len(pairs))
@@ -505,47 +488,37 @@ def run_suites(
 # -------------------------------------------------- counterexample scans --
 
 
-def _has_cut_vertex(task: _GraphTask) -> bool:
-    g = task.g
+def _has_cut_vertex(g: Graph) -> bool:
     base = len(components(g))
-    for v in range(g.n):
-        smaller, _ = task.once(delete_vertex, v)
-        if smaller.n and len(components(smaller)) > base:
-            return True
-    return False
+    return g.n > 1 and any(len(components(delete_vertex(g, v)[0])) > base
+                           for v in range(g.n))
 
 
-def _scan_s_class(i: int, g: Graph, p: PropertyDescriptor, task: _GraphTask):
-    if not g.edges():
-        return []
-    m = task.once(msd_graph, p, 3).msd
+def _scan_s_class(i: int, g: Graph, p: PropertyDescriptor, options: VerifyOptions):
+    m = msd_graph(g, p, 3).msd if g.edges() else None
     return [_record(g, label=g.label, msd=m)] if m == i else []
 
 
-def _scan_msd_above_3(g: Graph, p: PropertyDescriptor, task: _GraphTask):
-    if not g.edges():
-        return []
-    m = task.once(msd_graph, p, 3).msd
-    if m is not None and not isinstance(m, int):
-        return [_record(g, label=g.label, msd=str(m))]
-    return []
+def _scan_msd_above_3(g: Graph, p: PropertyDescriptor, options: VerifyOptions):
+    m = msd_graph(g, p, 3).msd if g.edges() else None
+    return [_record(g, label=g.label, msd=str(m))] if isinstance(m, MsdMarker) else []
 
 
-def _scan_er_minus_exists(g: Graph, p: PropertyDescriptor, task: _GraphTask):
+def _scan_er_minus_exists(g: Graph, p: PropertyDescriptor, options: VerifyOptions):
     base = gamma_value(g, p)
     if base is None:
         return []
     for e in g.edges():
-        deleted = gamma_value(task.once(delete_edge, e), p)
+        deleted = gamma_value(delete_edge(g, e), p)
         if deleted is not None and deleted < base:
             return [_record(g, label=g.label, edge=list(e), gamma=base,
                             gamma_deleted=deleted)]
     return []
 
 
-def _scan_s2_cut_vertex(g: Graph, p: PropertyDescriptor, task: _GraphTask):
-    hits = _scan_s_class(2, g, p, task)
-    return hits if hits and _has_cut_vertex(task) else []
+def _scan_s2_cut_vertex(g: Graph, p: PropertyDescriptor, options: VerifyOptions):
+    hits = _scan_s_class(2, g, p, options)
+    return hits if hits and _has_cut_vertex(g) else []
 
 
 ASSERTIONS = {
@@ -566,7 +539,7 @@ def scan_counterexamples(
         raise ValueError(
             f"unknown assertion {assertion_id!r}; known: {', '.join(sorted(ASSERTIONS))}"
         )
-    [(hits, _, _)] = _walk([(assertion_id, p)], VerifyOptions(), corpus)
+    [(hits, _, _)] = _walk([(assertion_id, p)], VerifyOptions(), list(corpus))
     return hits
 
 

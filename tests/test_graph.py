@@ -182,6 +182,36 @@ class TestSubdivideEdge:
             subdivide_edge(path(2), (0, 1), 0)
 
 
+class TestEditMemo:
+    """Edits are memoised on the normalised edge: a list edge (as in a
+    violation's JSON line) and the reversed pair hit the same entry."""
+
+    def test_delete_edge(self):
+        g = cycle(5)
+        delete_edge.cache_clear()
+        first = delete_edge(g, [1, 0])
+        assert delete_edge(g, (0, 1)) is first
+        assert first == Graph.from_edges(5, [(1, 2), (2, 3), (3, 4), (0, 4)])
+        info = delete_edge.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_subdivide_edge(self):
+        g = cycle(5)
+        subdivide_edge.cache_clear()
+        first = subdivide_edge(g, [1, 0], 2)
+        assert subdivide_edge(g, (0, 1), 2) is first
+        assert subdivide_edge(g, (1, 0), 3) is not first
+        assert first.n == 7 and first.has_edge(0, 5) and first.has_edge(6, 1)
+        info = subdivide_edge.cache_info()
+        assert (info.misses, info.hits) == (2, 1)
+
+    def test_delete_vertex(self):
+        g = cycle(5)
+        delete_vertex.cache_clear()
+        assert delete_vertex(g, 2) is delete_vertex(g, 2)
+        assert delete_vertex.cache_info().hits == 1
+
+
 class TestPrivateNeighbors:
     def test_p3_center_alone(self):
         g = path(3)

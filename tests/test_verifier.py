@@ -14,6 +14,7 @@ from domlab import (
     EDGELESS,
     NO_ISOLATED,
     CorpusError,
+    Graph,
     MsdMarker,
     PropertyDescriptor,
     STATEMENT_COVERAGE,
@@ -189,68 +190,82 @@ def _without_elapsed(reports):
     return out
 
 
+PER_GRAPH_SUITES = [s for s, suite in SUITES.items() if suite.per_graph is not None]
+
+
+def _cold_memos():
+    """Empty the memos of the graph edits and the per-edge checks."""
+    from domlab import graph, multisubdivision
+
+    for memo in (graph.delete_edge, graph.delete_vertex, graph.subdivide_edge,
+                 multisubdivision.check_multi1, multisubdivision.check_multi4):
+        memo.cache_clear()
+
+
 class TestPerGraphLoop:
     def test_jobs_and_per_pair_runs_agree(self):
         corpus = load_corpus("n5all")
-        suites = [s for s, suite in SUITES.items() if suite.per_graph is not None]
-        props = [parse_property(k) for k in ("I", "O", "F", "UK", "D:1")]
-        serial = _without_elapsed(run_suites(suites, props, corpus))
-        assert len(suites) == 15 and len(serial) == 75
+        props = [parse_property(k) for k in "I,O,C,T,F,UK,D:1,D:2".split(",")]
+        serial = _without_elapsed(run_suites(PER_GRAPH_SUITES, props, corpus))
+        assert len(PER_GRAPH_SUITES) == 15 and len(serial) == 120
         assert serial == _without_elapsed(
-            run_suites(suites, props, corpus, VerifyOptions(jobs=2)))
+            run_suites(PER_GRAPH_SUITES, props, corpus, VerifyOptions(jobs=2)))
         assert serial == _without_elapsed(
-            [run_suite(s, p, corpus) for s in suites for p in props])
+            [run_suite(s, p, corpus) for s in PER_GRAPH_SUITES for p in props])
 
     def test_per_edge_check_runs_once_per_edge_and_property(self, monkeypatch):
-        from domlab import verifier
+        # computations, not calls: a call the memo answers is not counted
+        from domlab import multisubdivision, verifier
 
-        calls = []
-        real = verifier.check_multi4
-
-        def counting(g, e, p):
-            calls.append((to_graph6(g), e, p.key))
-            return real(g, e, p)
-
-        monkeypatch.setattr(verifier, "check_multi4", counting)
         corpus = load_corpus("n5all")[:20]
         props = [ANY_GRAPH, EDGELESS]
-        expected = [(to_graph6(g), e, p.key)
-                    for g in corpus for p in props for e in g.edges()]
-        run_suites(["T6-iff", "T6-chain", "T6-msd3"], props, corpus)
-        assert calls == expected
+        expected = {(to_graph6(g), e, p.key)
+                    for g in corpus for p in props for e in g.edges()}
+        for name, suites in (("check_multi4", ["T6-iff", "T6-chain", "T6-msd3"]),
+                             ("check_multi1", ["T5-sandwich", "T5-A1A2", "TB-edgeadd"])):
+            asked = set()
+            memo = getattr(multisubdivision, name)
 
-        # T5-sandwich reads the same check_multi1 result as T5-A1A2 and TB
-        calls.clear()
-        real1 = verifier.check_multi1
+            def asking(g, e, p, _memo=memo):
+                asked.add((to_graph6(g), e, p.key))
+                return _memo(g, e, p)
 
-        def counting1(g, e, p):
-            calls.append((to_graph6(g), e, p.key))
-            return real1(g, e, p)
+            monkeypatch.setattr(verifier, name, asking)
+            _cold_memos()
+            run_suites(suites, props, corpus)
+            info = memo.cache_info()
+            # each of the three suites asks for every (graph, property, edge),
+            # and only the first ask computes
+            assert asked == expected
+            assert (info.misses, info.hits) == (len(expected), 2 * len(expected))
 
-        monkeypatch.setattr(verifier, "check_multi1", counting1)
-        run_suites(["T5-sandwich", "T5-A1A2", "TB-edgeadd"], props, corpus)
-        assert calls == expected
-
-        # an edited graph is built once per graph, whichever suites and
-        # properties read it
-        edits = []
-        for name in ("subdivide_edge", "delete_edge", "delete_vertex"):
-            def counting_edit(g, *args, _name=name, _real=getattr(verifier, name)):
-                edits.append((to_graph6(g), _name, args))
-                return _real(g, *args)
-
-            monkeypatch.setattr(verifier, name, counting_edit)
+        # an edited graph is built once per corpus graph, whichever suites,
+        # per-edge checks and properties ask for it: the graphs built equal
+        # the distinct edits asked for
         # K_{3,3,3} has edges whose deletion lowers the edgeless-property
         # gamma, so TC goes on to delete their endpoints
         corpus = load_corpus("n5all") + [complete_multipartite([3, 3, 3])]
-        run_suites(["T1-bound", "T1-necessity", "T3-equiv", "COR4-classes",
-                    "TC-plus1-lemma"], props, corpus)
-        assert len(edits) == len(set(edits))
-        assert [x for x in edits if x[1] != "delete_vertex"] == [
-            (to_graph6(g), name, args) for g in corpus
-            for name, args in ([("subdivide_edge", (e, 1)) for e in g.edges()]
-                               + [("delete_edge", (e,)) for e in g.edges()])]
-        assert any(x[1] == "delete_vertex" for x in edits)
+        edits, built = set(), []
+        for module in (verifier, multisubdivision):
+            for name in ("subdivide_edge", "delete_edge", "delete_vertex"):
+                def asking_edit(g, x, *args, _name=name, _real=getattr(module, name)):
+                    key = x if _name == "delete_vertex" else tuple(sorted(x))
+                    edits.add((to_graph6(g), _name, key, *args))
+                    return _real(g, x, *args)
+
+                monkeypatch.setattr(module, name, asking_edit)
+        real_init = Graph.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Graph, "__init__", counting_init)
+        _cold_memos()
+        run_suites(PER_GRAPH_SUITES, props, corpus)
+        assert len(built) == len(edits)
+        assert {x[1] for x in edits} == {"subdivide_edge", "delete_edge", "delete_vertex"}
+        assert {x[3] for x in edits if x[1] == "subdivide_edge"} == {1, 2, 3, 4, 5, 6}
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_fail_fast_stops_only_the_failing_pair(self, monkeypatch, jobs):
@@ -262,7 +277,7 @@ class TestPerGraphLoop:
         probe = verifier._Suite(
             "test-statement",
             lambda p: None,
-            lambda g, p, task: ([{"graph6": target, "detail": "probe"}]
+            lambda g, p, options: ([{"graph6": target, "detail": "probe"}]
                                 if to_graph6(g) == target else []),
         )
         monkeypatch.setitem(SUITES, "TEST-probe", probe)
@@ -275,6 +290,34 @@ class TestPerGraphLoop:
         assert failed.violations == [{"graph6": target, "detail": "probe"}]
         assert _without_elapsed([real]) == _without_elapsed(alone)
         assert real.graphs_checked == len(corpus)
+
+    def test_pool_has_at_most_one_worker_per_graph(self, monkeypatch):
+        from domlab import verifier
+
+        sizes = []
+
+        class RecordingPool:  # records its size and starts no process
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def imap(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+            def terminate(self):
+                pass
+
+            def join(self):
+                pass
+
+        monkeypatch.setattr(verifier.multiprocessing, "Pool", RecordingPool)
+        corpus = load_corpus("n5all")
+        serial = _without_elapsed(run_suites(["T3-equiv"], [ANY_GRAPH], corpus[:2]))
+        pooled = run_suites(["T3-equiv"], [ANY_GRAPH], corpus[:2], VerifyOptions(jobs=3))
+        assert sizes == [2]
+        assert _without_elapsed(pooled) == serial
+        run_suites(["T3-equiv"], [ANY_GRAPH], corpus[:1], VerifyOptions(jobs=3))
+        run_suites(["T3-equiv"], [ANY_GRAPH], corpus[:5], VerifyOptions(jobs=2))
+        assert sizes == [2, 2]
 
 
 def _has_cut_vertex(g):
