@@ -17,6 +17,17 @@ vertex, so a cell of pairwise twins needs no splitting (every order of it
 gives the same adjacency), and of the twins in a cell being split only the
 first is tried.
 
+The search may start from an ordered colouring instead of the one cell of
+all vertices. The cells keep their order through refinement, so a vertex of
+the first cell is relabelled before any vertex of the second, and two
+coloured graphs get the same adjacency exactly when an isomorphism maps
+each cell to the cell in the same position. With [{u}, {v}, rest] this
+compares edges: (u, v) and (x, y) get the same adjacency exactly when an
+automorphism of the graph maps u to x and v to y, which is how
+edge_orbit_representatives finds the ordered edge orbits. Twins in one cell
+stay interchangeable under the colouring, because refinement only splits
+cells.
+
 The certificate is the graph6 string of the canonical relabelling.
 """
 
@@ -26,7 +37,7 @@ from typing import Sequence
 
 from .bitset import VertexSet, iter_bits
 from .formats import to_graph6
-from .graph import Graph
+from .graph import Edge, Graph
 
 
 def _refine(adj: Sequence[int], cells: list[int], splitters: list[int],
@@ -95,9 +106,12 @@ def _twins(adj: Sequence[int], vertices: VertexSet, ubit: int, vbit: int) -> boo
     return not (adj[u] ^ adj[v]) & vertices & ~(ubit | vbit)
 
 
-def canonical_adjacency(adj: Sequence[int], vertices: VertexSet) -> tuple[int, ...]:
+def canonical_adjacency(adj: Sequence[int], vertices: VertexSet,
+                        cells: Sequence[VertexSet] | None = None) -> tuple[int, ...]:
     """Adjacency rows of the canonical relabelling of the subgraph that
-    `vertices` induces in the graph with adjacency rows `adj`."""
+    `vertices` induces in the graph with adjacency rows `adj`; with `cells`,
+    an ordered colouring of `vertices` into non-empty cells, of the
+    relabellings that keep the cells in that order."""
     size = vertices.bit_count()
     best: tuple[int, ...] | None = None
 
@@ -123,13 +137,31 @@ def canonical_adjacency(adj: Sequence[int], vertices: VertexSet) -> tuple[int, .
             search(_refine(adj, cells[:i] + [bit, cell ^ bit] + cells[i + 1:], [bit],
                            size))
 
-    search(_refine(adj, [vertices] if vertices else [], [vertices], size))
+    if cells is None:
+        search(_refine(adj, [vertices] if vertices else [], [vertices], size))
+    else:
+        search(_refine(adj, list(cells), list(cells), size))
     return best
 
 
 def canonical_form(g: Graph) -> Graph:
     """The canonical relabelling of g: equal for g and h iff they are isomorphic."""
     return Graph(g.n, canonical_adjacency(g.adj, g.vertex_mask))
+
+
+def edge_orbit_representatives(g: Graph) -> list[Edge]:
+    """The least edge (u < v) of each ordered edge orbit of g, in edge order:
+    (u, v) and (x, y) share an orbit when an automorphism maps u to x and v
+    to y."""
+    keys, out = set(), []
+    for u, v in g.edges():
+        pair = (1 << u) | (1 << v)
+        key = canonical_adjacency(g.adj, g.vertex_mask,
+                                  [c for c in (1 << u, 1 << v, g.vertex_mask ^ pair) if c])
+        if key not in keys:
+            keys.add(key)
+            out.append((u, v))
+    return out
 
 
 def certificate(g: Graph) -> str:

@@ -151,8 +151,9 @@ def _cmd_verify(args, out) -> int:
 
 def _cmd_scan(args, out) -> int:
     p = parse_property(args.property)
+    options = VerifyOptions(jobs=args.jobs)
     corpus = resolve_corpus(args.corpus, skip_bad=args.skip_bad)
-    for hit in scan_counterexamples(args.assertion, p, corpus):
+    for hit in scan_counterexamples(args.assertion, p, corpus, options):
         _emit(hit, out)
     return 0
 
@@ -216,6 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help=f"one of: {', '.join(sorted(ASSERTIONS))}")
     sp.add_argument("--property", required=True)
     sp.add_argument("--corpus", required=True)
+    sp.add_argument("--jobs", type=int, default=1, help="worker processes, at least 1")
     sp.add_argument("--skip-bad", action="store_true")
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=_cmd_scan)

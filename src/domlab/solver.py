@@ -35,8 +35,8 @@ enumeration in increasing cardinality with no pruning, capped at n <= 20.
 Conventions: gamma of the empty graph is 0 with witness {} for properties
 that accept the empty set, undefined otherwise. Witnesses and enumeration
 order are lexicographic on sorted member tuples, lowest vertex id first.
-Values are memoized per (graph, property); results are identical to cold
-runs.
+Values and minimum-set lists are memoized per (graph, property); results
+are identical to cold runs.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from functools import lru_cache
 
 from .bitset import VertexSet, bitmask, iter_bits
 from .errors import OracleCapError, UndefinedGammaError
-from .graph import Graph, components_within, delete_vertex
+from .graph import MEMO_SIZE, Graph, components_within, delete_vertex
 from .properties import PropertyDescriptor, holds_induced
 
 ORACLE_MAX_N = 20
@@ -240,14 +240,20 @@ def gamma_oracle(g: Graph, p: PropertyDescriptor) -> GammaResult:
     return GammaResult(None, None, p, g.label)
 
 
-def all_minimum_sets(g: Graph, p: PropertyDescriptor) -> list[VertexSet]:
-    """Every minimum dominating p-set, in lexicographic order."""
+@lru_cache(maxsize=MEMO_SIZE)
+def _all_minimum_sets(g: Graph, p: PropertyDescriptor) -> tuple[VertexSet, ...]:
     value = _gamma_value(g, p)
     if value is None:
         raise UndefinedGammaError(
             f"gamma is undefined for property {p.key} on this graph"
         )
-    return list(_minimum_sets(g, p, value))
+    return tuple(_minimum_sets(g, p, value))
+
+
+def all_minimum_sets(g: Graph, p: PropertyDescriptor) -> list[VertexSet]:
+    """Every minimum dominating p-set, in lexicographic order; a new list on
+    every call, so callers cannot change the memo."""
+    return list(_all_minimum_sets(g, p))
 
 
 def in_some_minimum_set(g: Graph, p: PropertyDescriptor, v: int) -> bool:

@@ -10,13 +10,30 @@ checks, and STATEMENT_COVERAGE, statement -> suites, is read off SUITES.
 
 One walk serves suites and scans: each graph is one task that runs every
 selected (check, property) pair on it, where a check is a per-graph suite
-or a scan assertion taking (g, p, options). Checks call the edits and the
-per-edge checks directly; the memos live with those functions (the edits
-in graph.py, check_multi1 and check_multi4 in multisubdivision.py, gamma in
-solver.py), so an edited graph or a per-edge check computed for one check
-or property serves every other. With jobs > 1 the tasks run on a process
-pool of at most one worker per graph and are merged back in corpus order;
-corpus-level suites (FLAG-audit) stay serial, and so do scans.
+taking (g, p, options, edges) or a scan assertion taking (g, p, options).
+Checks call the edits and the per-edge checks directly; the memos live with
+those functions (the edits in graph.py, check_multi1 and check_multi4 in
+multisubdivision.py, gamma and the minimum sets in solver.py), so an edited
+graph or a per-edge check computed for one check or property serves every
+other.
+
+Every per-edge value a suite compares is invariant under automorphisms of
+g, so a suite has a hit at an edge exactly when it has one at the edge's
+image. A suite therefore runs on the least edge of each ordered edge orbit
+(canon.edge_orbit_representatives): no hit there means no hit on any edge.
+When that run has a hit the suite runs again on every edge and that run is
+reported, so violation records name the same labelled edges and minimum
+sets, in the same order, as a run on every edge. The orbits are ordered
+(an automorphism maps u to x and v to y, for edges (u, v) and (x, y) with
+u < v and x < y) because condition (ii) of Theorem 1 reads the endpoint
+with the smaller label first: an automorphism that maps u to y and v to x
+need not keep it, and with unordered orbits the literal-(iii) COR2-iff run
+misses violations. Scans run on every edge: they hit often, so a rerun
+would double their cost.
+
+With jobs > 1 the tasks run on a process pool of at most one worker per
+graph and are merged back in corpus order; corpus-level suites (FLAG-audit)
+stay serial.
 
 Reports are deterministic: two runs over the same corpus and options produce
 identical output except for the elapsed field, the summed time of the
@@ -34,9 +51,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from .bitset import members
+from .canon import edge_orbit_representatives
 from .criticality import check_theorem1_conditions
 from .formats import to_graph6
 from .graph import (
+    Edge,
     Graph,
     components,
     delete_edge,
@@ -116,10 +135,11 @@ def _record(g: Graph, **details) -> Violation:
 # ---------------------------------------------------------------- suites --
 
 
-def _check_t1_bound(g: Graph, p: PropertyDescriptor, options: VerifyOptions):
+def _check_t1_bound(g: Graph, p: PropertyDescriptor, options: VerifyOptions,
+                    edges: list[Edge]):
     base = gamma_value(g, p)
     out = []
-    for e in g.edges():
+    for e in edges:
         sub = gamma_value(subdivide_edge(g, e, 1), p)
         if sub > base + 1:
             out.append(_record(g, edge=list(e), gamma=base, gamma_subdivided=sub,
@@ -127,17 +147,19 @@ def _check_t1_bound(g: Graph, p: PropertyDescriptor, options: VerifyOptions):
     return out
 
 
-def _check_t1_necessity(g: Graph, p: PropertyDescriptor, options: VerifyOptions):
+def _check_t1_necessity(g: Graph, p: PropertyDescriptor, options: VerifyOptions,
+                        edges: list[Edge]):
     base = gamma_value(g, p)
-    min_sets = all_minimum_sets(g, p)
-    out = []
-    for e in g.edges():
+    min_sets, out = None, []
+    for e in edges:
         sub = gamma_value(subdivide_edge(g, e, 1), p)
         if sub <= base:
             continue
         if sub != base + 1:
             out.append(_record(g, edge=list(e), gamma=base, gamma_subdivided=sub,
                                detail="critical edge without the forced +1 value"))
+        if min_sets is None:  # only graphs with a critical edge need them
+            min_sets = all_minimum_sets(g, p)
         for M in min_sets:
             cond = check_theorem1_conditions(g, e, p, M, literal=options.literal_iii)
             if not cond.any:
@@ -147,11 +169,12 @@ def _check_t1_necessity(g: Graph, p: PropertyDescriptor, options: VerifyOptions)
     return out
 
 
-def _check_cor2_iff(g: Graph, p: PropertyDescriptor, options: VerifyOptions):
+def _check_cor2_iff(g: Graph, p: PropertyDescriptor, options: VerifyOptions,
+                    edges: list[Edge]):
     base = gamma_value(g, p)
     min_sets = all_minimum_sets(g, p)
     out = []
-    for e in g.edges():
+    for e in edges:
         lhs = gamma_value(subdivide_edge(g, e, 1), p) > base
         rhs = all(
             check_theorem1_conditions(g, e, p, M, literal=options.literal_iii).any
@@ -163,10 +186,11 @@ def _check_cor2_iff(g: Graph, p: PropertyDescriptor, options: VerifyOptions):
     return out
 
 
-def _check_t3_equiv(g: Graph, p: PropertyDescriptor, options: VerifyOptions):
+def _check_t3_equiv(g: Graph, p: PropertyDescriptor, options: VerifyOptions,
+                    edges: list[Edge]):
     base = gamma_value(g, p)
     out = []
-    for e in g.edges():
+    for e in edges:
         s_minus = gamma_value(subdivide_edge(g, e, 1), p) < base
         er_minus = gamma_value(delete_edge(g, e), p) < base
         if s_minus != er_minus:
@@ -175,8 +199,8 @@ def _check_t3_equiv(g: Graph, p: PropertyDescriptor, options: VerifyOptions):
     return out
 
 
-def _check_cor4_classes(g: Graph, p: PropertyDescriptor, options: VerifyOptions):
-    edges = g.edges()
+def _check_cor4_classes(g: Graph, p: PropertyDescriptor, options: VerifyOptions,
+                        edges: list[Edge]):
     if not edges:
         return []
     base = gamma_value(g, p)
@@ -188,9 +212,10 @@ def _check_cor4_classes(g: Graph, p: PropertyDescriptor, options: VerifyOptions)
     return []
 
 
-def _check_t5_sandwich(g: Graph, p: PropertyDescriptor, options: VerifyOptions):
+def _check_t5_sandwich(g: Graph, p: PropertyDescriptor, options: VerifyOptions,
+                       edges: list[Edge]):
     out = []
-    for e in g.edges():
+    for e in edges:
         m = check_multi1(g, e, p)
         if not m.sandwich:
             out.append(_record(g, edge=list(e), gamma_deleted=m.gamma_deleted,
@@ -198,9 +223,10 @@ def _check_t5_sandwich(g: Graph, p: PropertyDescriptor, options: VerifyOptions):
     return out
 
 
-def _check_t5_a1a2(g: Graph, p: PropertyDescriptor, options: VerifyOptions):
+def _check_t5_a1a2(g: Graph, p: PropertyDescriptor, options: VerifyOptions,
+                   edges: list[Edge]):
     out = []
-    for e in g.edges():
+    for e in edges:
         m = check_multi1(g, e, p)
         if m.a1 != m.a2:
             out.append(_record(g, edge=list(e), a1=m.a1, a2=m.a2,
@@ -208,9 +234,10 @@ def _check_t5_a1a2(g: Graph, p: PropertyDescriptor, options: VerifyOptions):
     return out
 
 
-def _check_t5_a1a3(g: Graph, p: PropertyDescriptor, options: VerifyOptions):
+def _check_t5_a1a3(g: Graph, p: PropertyDescriptor, options: VerifyOptions,
+                   edges: list[Edge]):
     out = []
-    for e in g.edges():
+    for e in edges:
         m = check_multi1(g, e, p)
         if m.a1 != m.a3:
             out.append(_record(g, edge=list(e), a1=m.a1, a3=m.a3,
@@ -218,9 +245,10 @@ def _check_t5_a1a3(g: Graph, p: PropertyDescriptor, options: VerifyOptions):
     return out
 
 
-def _check_t6_iff(g: Graph, p: PropertyDescriptor, options: VerifyOptions):
+def _check_t6_iff(g: Graph, p: PropertyDescriptor, options: VerifyOptions,
+                  edges: list[Edge]):
     out = []
-    for e in g.edges():
+    for e in edges:
         m = check_multi4(g, e, p)
         if not m.iff_holds:
             out.append(_record(g, edge=list(e), values=list(m.profile.values),
@@ -228,9 +256,10 @@ def _check_t6_iff(g: Graph, p: PropertyDescriptor, options: VerifyOptions):
     return out
 
 
-def _check_t6_chain(g: Graph, p: PropertyDescriptor, options: VerifyOptions):
+def _check_t6_chain(g: Graph, p: PropertyDescriptor, options: VerifyOptions,
+                    edges: list[Edge]):
     out = []
-    for e in g.edges():
+    for e in edges:
         m = check_multi4(g, e, p)
         if m.chain is False:
             out.append(_record(g, edge=list(e), values=list(m.profile.values),
@@ -238,9 +267,10 @@ def _check_t6_chain(g: Graph, p: PropertyDescriptor, options: VerifyOptions):
     return out
 
 
-def _check_t6_msd3(g: Graph, p: PropertyDescriptor, options: VerifyOptions):
+def _check_t6_msd3(g: Graph, p: PropertyDescriptor, options: VerifyOptions,
+                   edges: list[Edge]):
     out = []
-    for e in g.edges():
+    for e in edges:
         m = check_multi4(g, e, p)
         if not m.msd_le_3:
             out.append(_record(g, edge=list(e), msd=str(m.profile.msd),
@@ -249,7 +279,8 @@ def _check_t6_msd3(g: Graph, p: PropertyDescriptor, options: VerifyOptions):
     return out
 
 
-def _check_ta_vertex(g: Graph, p: PropertyDescriptor, options: VerifyOptions):
+def _check_ta_vertex(g: Graph, p: PropertyDescriptor, options: VerifyOptions,
+                     edges: list[Edge]):
     base = gamma_value(g, p)
     out = []
     for v in range(g.n):
@@ -282,10 +313,11 @@ def _check_ta_vertex(g: Graph, p: PropertyDescriptor, options: VerifyOptions):
     return out
 
 
-def _check_tb_edgeadd(g: Graph, p: PropertyDescriptor, options: VerifyOptions):
+def _check_tb_edgeadd(g: Graph, p: PropertyDescriptor, options: VerifyOptions,
+                      edges: list[Edge]):
     base = gamma_value(g, p)
     out = []
-    for e in g.edges():
+    for e in edges:
         m = check_multi1(g, e, p)
         if base < m.gamma_deleted and base != m.gamma_deleted - 1:
             out.append(_record(g, edge=list(e), gamma=base,
@@ -298,10 +330,11 @@ def _check_tb_edgeadd(g: Graph, p: PropertyDescriptor, options: VerifyOptions):
     return out
 
 
-def _check_tc_plus1(g: Graph, p: PropertyDescriptor, options: VerifyOptions):
+def _check_tc_plus1(g: Graph, p: PropertyDescriptor, options: VerifyOptions,
+                    edges: list[Edge]):
     base = gamma_value(g, p)
     out = []
-    for e in g.edges():
+    for e in edges:
         x, y = e
         reduced_graph = delete_edge(g, e)
         deleted = gamma_value(reduced_graph, p)
@@ -332,7 +365,8 @@ def _check_tc_plus1(g: Graph, p: PropertyDescriptor, options: VerifyOptions):
     return out
 
 
-def _check_oracle_equiv(g: Graph, p: PropertyDescriptor, options: VerifyOptions):
+def _check_oracle_equiv(g: Graph, p: PropertyDescriptor, options: VerifyOptions,
+                        edges: list[Edge]):
     fast = gamma(g, p)
     slow = gamma_oracle(g, p)
     out = []
@@ -353,7 +387,7 @@ def _check_oracle_equiv(g: Graph, p: PropertyDescriptor, options: VerifyOptions)
 class _Suite:
     statement: str  # the verified statement this suite is a facet of
     scope: Callable[[PropertyDescriptor], str | None]
-    per_graph: Callable | None  # None: corpus-level suite
+    per_graph: Callable | None  # (g, p, options, edges); None: corpus-level suite
 
 
 SUITES: dict[str, _Suite] = {
@@ -404,12 +438,24 @@ def run_suite(
 
 def _check_graph(pairs, options: VerifyOptions, g: Graph):
     """One task: (hits, seconds) of each (check id, property) pair on g. A
-    check id names a per-graph suite or a scan assertion."""
-    out = []
+    check id names a per-graph suite or a scan assertion.
+
+    A suite runs on the least edge of each ordered edge orbit; only when
+    that run has a hit does it run again on every edge, and that run is
+    reported, so its hits name the same edges in the same order as a run on
+    every edge would."""
+    out, reps = [], None
     for check_id, p in pairs:
-        check = SUITES[check_id].per_graph if check_id in SUITES else ASSERTIONS[check_id]
         started = time.perf_counter()
-        hits = check(g, p, options)
+        if check_id in SUITES:
+            check = SUITES[check_id].per_graph
+            if reps is None:
+                edges, reps = g.edges(), edge_orbit_representatives(g)
+            hits = check(g, p, options, reps)
+            if hits and reps != edges:
+                hits = check(g, p, options, edges)
+        else:
+            hits = ASSERTIONS[check_id](g, p, options)
         out.append((hits, time.perf_counter() - started))
     return out
 
@@ -532,14 +578,19 @@ ASSERTIONS = {
 
 
 def scan_counterexamples(
-    assertion_id: str, p: PropertyDescriptor, corpus: Iterable[Graph]
+    assertion_id: str,
+    p: PropertyDescriptor,
+    corpus: Iterable[Graph],
+    options: VerifyOptions | None = None,
 ) -> list[Violation]:
-    """Exploratory scan: the hit records of one assertion, in corpus order."""
+    """Exploratory scan: the hit records of one assertion, in corpus order,
+    from the walk run_suites uses (options.jobs processes; with fail_fast it
+    stops at the first graph with a hit)."""
     if assertion_id not in ASSERTIONS:
         raise ValueError(
             f"unknown assertion {assertion_id!r}; known: {', '.join(sorted(ASSERTIONS))}"
         )
-    [(hits, _, _)] = _walk([(assertion_id, p)], VerifyOptions(), list(corpus))
+    [(hits, _, _)] = _walk([(assertion_id, p)], options or VerifyOptions(), list(corpus))
     return hits
 
 

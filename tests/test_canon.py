@@ -8,8 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from domlab import Graph, complete, complete_multipartite, cycle, load_corpus
-from domlab.canon import canonical_adjacency, canonical_form, certificate
+from domlab import Graph, complete, complete_multipartite, cycle, load_corpus, path
+from domlab.canon import (
+    canonical_adjacency,
+    canonical_form,
+    certificate,
+    edge_orbit_representatives,
+)
+from orbit_reference import ordered_edge_orbit_representatives
 
 # 2-regular and 4-regular, but not vertex-transitive: refinement leaves one
 # cell that is not an orbit
@@ -107,3 +113,35 @@ def graph_and_permutation(draw):
 def test_relabelling_keeps_certificate(case):
     g, perm = case
     assert certificate(relabel(g, perm)) == certificate(g)
+
+
+def test_edge_orbits_match_networkx_on_n6all():
+    corpus = load_corpus("n6all")
+    reps = [edge_orbit_representatives(g) for g in corpus]
+    assert reps == [ordered_edge_orbit_representatives(g) for g in corpus]
+    assert sum(map(len, reps)) == 766  # of 1,380 edges
+
+
+def test_edge_orbits_are_ordered():
+    # reversing P4 maps edge (0, 1) onto (2, 3) only with its endpoints
+    # swapped, so the two lie in different ordered orbits
+    assert edge_orbit_representatives(path(4)) == [(0, 1), (1, 2), (2, 3)]
+    assert edge_orbit_representatives(cycle(5)) == [(0, 1)]
+
+
+@pytest.mark.parametrize("g", [complete(7), cycle(8), PETERSEN,
+                               complete_multipartite([3, 3, 3])],
+                         ids=["K7", "C8", "Petersen", "K333"])
+def test_edge_orbits_of_symmetric_graphs_match_networkx(g):
+    rng = random.Random(g.n)
+    for _ in range(5):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        h = relabel(g, perm)
+        assert edge_orbit_representatives(h) == ordered_edge_orbit_representatives(h)
+
+
+def test_one_cell_colouring_is_the_default():
+    for g in load_corpus("n5all"):
+        assert canonical_adjacency(g.adj, g.vertex_mask, [g.vertex_mask] if g.n else []) \
+            == canonical_adjacency(g.adj, g.vertex_mask)

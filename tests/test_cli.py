@@ -182,7 +182,7 @@ class TestVerify:
 
         probe = verifier._Suite(
             "test-statement", lambda p: None,
-            lambda g, p, opt: [{"graph6": "x", "detail": "boom"}]
+            lambda g, p, opt, edges: [{"graph6": "x", "detail": "boom"}]
         )
         monkeypatch.setitem(verifier.SUITES, "TEST-fail", probe)
         f = tmp_path / "c.g6"
@@ -265,6 +265,27 @@ class TestScan:
         assert code == 0
         expected = [to_graph6(cycle(n)) for n in (3, 6, 9, 12)]
         assert [r["graph6"] for r in jsonl(out)] == expected
+
+    @pytest.mark.parametrize("key", ["I", "O"])
+    def test_jobs_prints_the_serial_lines(self, capsys, key):
+        outputs = []
+        for jobs in ("1", "2"):
+            code, out, _ = run_cli(capsys, "scan", "--assertion", "er-minus-exists",
+                                   "--property", key, "--corpus", "bundled:n6all",
+                                   "--jobs", jobs)
+            assert code == 0
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+        # deleting an edge never lowers gamma for I; for O it does on 4 graphs
+        assert len(jsonl(outputs[0])) == {"I": 0, "O": 4}[key]
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exit_2(self, capsys, jobs):
+        code, out, err = run_cli(capsys, "scan", "--assertion", "in-S1",
+                                 "--property", "I", "--corpus", "bundled:paths14",
+                                 "--jobs", jobs)
+        assert code == 2 and out == ""
+        assert "jobs must be at least 1" in err
 
     def test_unknown_assertion_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "scan", "--assertion", "in-S9",

@@ -128,6 +128,19 @@ class TestAllMinimumSets:
         with pytest.raises(UndefinedGammaError):
             all_minimum_sets(TWO_K2, CONNECTED)
 
+    def test_memo_hands_out_a_new_list(self):
+        from domlab import solver
+
+        first = all_minimum_sets(cycle(4), ANY_GRAPH)
+        hits = solver._all_minimum_sets.cache_info().hits
+        first.clear()  # a caller changing its list leaves the memo as it was
+        second = all_minimum_sets(cycle(4), ANY_GRAPH)
+        assert solver._all_minimum_sets.cache_info().hits == hits + 1
+        assert second is not first and len(second) == 6
+        for _ in range(2):  # an undefined gamma raises on every call
+            with pytest.raises(UndefinedGammaError):
+                all_minimum_sets(TWO_K2, CONNECTED)
+
     def test_lexicographic_order_matches_oracle(self):
         import itertools
 

@@ -42,6 +42,8 @@ from domlab import (
     to_graph6,
 )
 
+from orbit_reference import ordered_edge_orbit_representatives
+
 SMALL = [path(2), path(3), cycle(3), cycle(4), star(3)]
 
 
@@ -128,7 +130,7 @@ class TestReports:
         probe = verifier._Suite(
             "test-statement",
             lambda p: None,
-            lambda g, p, opt: [{"graph6": "x", "detail": "always"}],
+            lambda g, p, opt, edges: [{"graph6": "x", "detail": "always"}],
         )
         monkeypatch.setitem(SUITES, "TEST-fail", probe)
         r = run_suite("TEST-fail", ANY_GRAPH, SMALL, VerifyOptions(fail_fast=True))
@@ -213,14 +215,15 @@ class TestPerGraphLoop:
         assert serial == _without_elapsed(
             [run_suite(s, p, corpus) for s in PER_GRAPH_SUITES for p in props])
 
-    def test_per_edge_check_runs_once_per_edge_and_property(self, monkeypatch):
+    def test_per_edge_check_runs_once_per_orbit_and_property(self, monkeypatch):
         # computations, not calls: a call the memo answers is not counted
         from domlab import multisubdivision, verifier
 
         corpus = load_corpus("n5all")[:20]
         props = [ANY_GRAPH, EDGELESS]
-        expected = {(to_graph6(g), e, p.key)
-                    for g in corpus for p in props for e in g.edges()}
+        expected = {(to_graph6(g), e, p.key) for g in corpus for p in props
+                    for e in ordered_edge_orbit_representatives(g)}
+        assert len(expected) < sum(2 * g.edge_count() for g in corpus)
         for name, suites in (("check_multi4", ["T6-iff", "T6-chain", "T6-msd3"]),
                              ("check_multi1", ["T5-sandwich", "T5-A1A2", "TB-edgeadd"])):
             asked = set()
@@ -234,8 +237,9 @@ class TestPerGraphLoop:
             _cold_memos()
             run_suites(suites, props, corpus)
             info = memo.cache_info()
-            # each of the three suites asks for every (graph, property, edge),
-            # and only the first ask computes
+            # no suite has a hit, so each of the three asks for every (graph,
+            # property, orbit representative) once, and only the first ask
+            # computes
             assert asked == expected
             assert (info.misses, info.hits) == (len(expected), 2 * len(expected))
 
@@ -267,6 +271,49 @@ class TestPerGraphLoop:
         assert {x[1] for x in edits} == {"subdivide_edge", "delete_edge", "delete_vertex"}
         assert {x[3] for x in edits if x[1] == "subdivide_edge"} == {1, 2, 3, 4, 5, 6}
 
+    @pytest.mark.parametrize("literal", [False, True], ids=["symmetric", "literal"])
+    def test_orbit_run_equals_run_on_every_edge(self, literal):
+        # every suite body called on every edge of every graph is the reference
+        corpus = load_corpus("n6all")
+        props = [parse_property(k) for k in "I,O,C,T,F,UK,D:1,D:2".split(",")]
+        opt = VerifyOptions(literal_iii=literal)
+        expected = [(suite_id, p.key, []) for suite_id in PER_GRAPH_SUITES for p in props]
+        for g in corpus:  # graph by graph, as the memos are sized for
+            for suite_id, key, found in expected:
+                suite, p = SUITES[suite_id], parse_property(key)
+                if suite.scope(p) is None:
+                    found += suite.per_graph(g, p, opt, g.edges())
+        got = [(r.suite, r.property_key, r.violations)
+               for r in run_suites(PER_GRAPH_SUITES, props, corpus, opt)]
+        assert got == expected
+        # the literal run has violations whose edges the reduction must keep
+        assert any(found for _, _, found in expected) == literal
+
+    def test_hits_on_a_whole_orbit_are_reported_on_every_edge(self, monkeypatch):
+        from domlab import verifier
+
+        # C4 0-1-2-3 with the chord 0-2: swapping 1 and 3 or 0 and 2 gives
+        # the ordered orbits {(0, 1), (0, 3)}, {(0, 2)} and {(1, 2), (2, 3)}
+        diamond = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])
+        assert ordered_edge_orbit_representatives(diamond) == [(0, 1), (0, 2), (1, 2)]
+        orbit = {(1, 2), (2, 3)}
+        asked = []
+
+        def probe(g, p, options, edges):
+            asked.append(list(edges))
+            return [{"graph6": to_graph6(g), "edge": list(e)} for e in edges
+                    if g == diamond and e in orbit]
+
+        monkeypatch.setitem(SUITES, "TEST-orbit",
+                            verifier._Suite("test-statement", lambda p: None, probe))
+        [report] = run_suites(["TEST-orbit"], [ANY_GRAPH], [cycle(3), diamond])
+        g6 = to_graph6(diamond)
+        assert report.violations == [{"graph6": g6, "edge": [1, 2]},
+                                     {"graph6": g6, "edge": [2, 3]}]
+        # K3 is one orbit and has no hit; the diamond's representatives have
+        # one, so it runs again on every edge
+        assert asked == [[(0, 1)], [(0, 1), (0, 2), (1, 2)], diamond.edges()]
+
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_fail_fast_stops_only_the_failing_pair(self, monkeypatch, jobs):
         from domlab import verifier
@@ -277,8 +324,8 @@ class TestPerGraphLoop:
         probe = verifier._Suite(
             "test-statement",
             lambda p: None,
-            lambda g, p, options: ([{"graph6": target, "detail": "probe"}]
-                                if to_graph6(g) == target else []),
+            lambda g, p, options, edges: ([{"graph6": target, "detail": "probe"}]
+                                       if to_graph6(g) == target else []),
         )
         monkeypatch.setitem(SUITES, "TEST-probe", probe)
         opt = VerifyOptions(fail_fast=True, jobs=jobs)
