@@ -92,6 +92,8 @@ def _cmd_classify(args, out) -> int:
 
 def _cmd_msd(args, out) -> int:
     p = parse_property(args.property)
+    if args.cap < 1:  # rejected before any input, edgeless or not
+        raise ValueError(f"cap must be >= 1, got {args.cap}")
     for g in resolve_corpus(args.input, skip_bad=args.skip_bad):
         g6 = to_graph6(g)
         profiles = [profile(g, e, p, cap=args.cap) for e in g.edges()]

@@ -8,28 +8,32 @@ yields a "skip" status (never a silent pass), because a violation outside
 the hypotheses would be meaningless. Each suite names the statement it
 checks, and STATEMENT_COVERAGE, statement -> suites, is read off SUITES.
 
-One walk serves suites and scans: each graph is one task that runs every
-selected (check, property) pair on it, where a check is a per-graph suite
-taking (g, p, options, edges) or a scan assertion taking (g, p, options).
+A suite's check has one of two shapes. A per-edge check (g, p, options, e)
+yields the violations at one edge e of g; a graph-level check
+(g, p, options) returns those of g, the shape scan assertions have too.
 Checks call the edits and the per-edge checks directly; the memos live with
 those functions (the edits in graph.py, check_multi1 and check_multi4 in
 multisubdivision.py, gamma and the minimum sets in solver.py), so an edited
 graph or a per-edge check computed for one check or property serves every
 other.
 
-Every per-edge value a suite compares is invariant under automorphisms of
-g, so a suite has a hit at an edge exactly when it has one at the edge's
-image. A suite therefore runs on the least edge of each ordered edge orbit
+One walk serves suites and scans: each graph is one task (_check_graph)
+that runs every selected (check, property) pair on it, and that task is the
+only place that picks the edges a per-edge check visits. Every per-edge
+value a suite compares is invariant under automorphisms of g, so a check
+has a hit at an edge exactly when it has one at the edge's image. A check
+therefore runs on the least edge of each ordered edge orbit
 (canon.edge_orbit_representatives): no hit there means no hit on any edge.
-When that run has a hit the suite runs again on every edge and that run is
+When that run has a hit the check runs again on every edge and that run is
 reported, so violation records name the same labelled edges and minimum
 sets, in the same order, as a run on every edge. The orbits are ordered
 (an automorphism maps u to x and v to y, for edges (u, v) and (x, y) with
 u < v and x < y) because condition (ii) of Theorem 1 reads the endpoint
 with the smaller label first: an automorphism that maps u to y and v to x
 need not keep it, and with unordered orbits the literal-(iii) COR2-iff run
-misses violations. Scans run on every edge: they hit often, so a rerun
-would double their cost.
+misses violations. Graph-level checks and scans run once per graph; a scan
+visits every edge it needs itself, since scans hit often and a rerun would
+double their cost.
 
 With jobs > 1 the tasks run on a process pool of at most one worker per
 graph and are merged back in corpus order; corpus-level suites (FLAG-audit)
@@ -135,152 +139,97 @@ def _record(g: Graph, **details) -> Violation:
 # ---------------------------------------------------------------- suites --
 
 
-def _check_t1_bound(g: Graph, p: PropertyDescriptor, options: VerifyOptions,
-                    edges: list[Edge]):
+def _check_t1_bound(g: Graph, p: PropertyDescriptor, options: VerifyOptions, e: Edge):
     base = gamma_value(g, p)
-    out = []
-    for e in edges:
-        sub = gamma_value(subdivide_edge(g, e, 1), p)
-        if sub > base + 1:
-            out.append(_record(g, edge=list(e), gamma=base, gamma_subdivided=sub,
-                               detail="single subdivision raised gamma by more than one"))
-    return out
+    sub = gamma_value(subdivide_edge(g, e, 1), p)
+    if sub > base + 1:
+        yield _record(g, edge=list(e), gamma=base, gamma_subdivided=sub,
+                      detail="single subdivision raised gamma by more than one")
 
 
-def _check_t1_necessity(g: Graph, p: PropertyDescriptor, options: VerifyOptions,
-                        edges: list[Edge]):
+def _check_t1_necessity(g: Graph, p: PropertyDescriptor, options: VerifyOptions, e: Edge):
     base = gamma_value(g, p)
-    min_sets, out = None, []
-    for e in edges:
-        sub = gamma_value(subdivide_edge(g, e, 1), p)
-        if sub <= base:
-            continue
-        if sub != base + 1:
-            out.append(_record(g, edge=list(e), gamma=base, gamma_subdivided=sub,
-                               detail="critical edge without the forced +1 value"))
-        if min_sets is None:  # only graphs with a critical edge need them
-            min_sets = all_minimum_sets(g, p)
-        for M in min_sets:
-            cond = check_theorem1_conditions(g, e, p, M, literal=options.literal_iii)
-            if not cond.any:
-                out.append(_record(
-                    g, edge=list(e), minimum_set=members(M),
-                    detail="critical edge with a minimum set satisfying no condition"))
-    return out
+    sub = gamma_value(subdivide_edge(g, e, 1), p)
+    if sub <= base:
+        return
+    if sub != base + 1:
+        yield _record(g, edge=list(e), gamma=base, gamma_subdivided=sub,
+                      detail="critical edge without the forced +1 value")
+    for M in all_minimum_sets(g, p):
+        if not check_theorem1_conditions(g, e, p, M, literal=options.literal_iii).any:
+            yield _record(g, edge=list(e), minimum_set=members(M),
+                          detail="critical edge with a minimum set satisfying no condition")
 
 
-def _check_cor2_iff(g: Graph, p: PropertyDescriptor, options: VerifyOptions,
-                    edges: list[Edge]):
+def _check_cor2_iff(g: Graph, p: PropertyDescriptor, options: VerifyOptions, e: Edge):
+    lhs = gamma_value(subdivide_edge(g, e, 1), p) > gamma_value(g, p)
+    rhs = all(check_theorem1_conditions(g, e, p, M, literal=options.literal_iii).any
+              for M in all_minimum_sets(g, p))
+    if lhs != rhs:
+        yield _record(g, edge=list(e), s_plus=lhs, conditions_all=rhs,
+                      detail="iff characterization mismatch")
+
+
+def _check_t3_equiv(g: Graph, p: PropertyDescriptor, options: VerifyOptions, e: Edge):
     base = gamma_value(g, p)
-    min_sets = all_minimum_sets(g, p)
-    out = []
-    for e in edges:
-        lhs = gamma_value(subdivide_edge(g, e, 1), p) > base
-        rhs = all(
-            check_theorem1_conditions(g, e, p, M, literal=options.literal_iii).any
-            for M in min_sets
-        )
-        if lhs != rhs:
-            out.append(_record(g, edge=list(e), s_plus=lhs, conditions_all=rhs,
-                               detail="iff characterization mismatch"))
-    return out
+    s_minus = gamma_value(subdivide_edge(g, e, 1), p) < base
+    er_minus = gamma_value(delete_edge(g, e), p) < base
+    if s_minus != er_minus:
+        yield _record(g, edge=list(e), s_minus=s_minus, er_minus=er_minus,
+                      detail="subdivision and deletion criticality differ")
 
 
-def _check_t3_equiv(g: Graph, p: PropertyDescriptor, options: VerifyOptions,
-                    edges: list[Edge]):
+def _check_cor4_classes(g: Graph, p: PropertyDescriptor, options: VerifyOptions):
     base = gamma_value(g, p)
-    out = []
-    for e in edges:
-        s_minus = gamma_value(subdivide_edge(g, e, 1), p) < base
-        er_minus = gamma_value(delete_edge(g, e), p) < base
-        if s_minus != er_minus:
-            out.append(_record(g, edge=list(e), s_minus=s_minus, er_minus=er_minus,
-                               detail="subdivision and deletion criticality differ"))
-    return out
-
-
-def _check_cor4_classes(g: Graph, p: PropertyDescriptor, options: VerifyOptions,
-                        edges: list[Edge]):
-    if not edges:
-        return []
-    base = gamma_value(g, p)
-    cs = all(gamma_value(subdivide_edge(g, e, 1), p) < base for e in edges)
-    cer = all(gamma_value(delete_edge(g, e), p) < base for e in edges)
+    cs = all(gamma_value(subdivide_edge(g, e, 1), p) < base for e in g.edges())
+    cer = all(gamma_value(delete_edge(g, e), p) < base for e in g.edges())
     if cs != cer:
         return [_record(g, cs_minus=cs, cer_minus=cer,
                         detail="all-edges criticality classes differ")]
     return []
 
 
-def _check_t5_sandwich(g: Graph, p: PropertyDescriptor, options: VerifyOptions,
-                       edges: list[Edge]):
-    out = []
-    for e in edges:
-        m = check_multi1(g, e, p)
-        if not m.sandwich:
-            out.append(_record(g, edge=list(e), gamma_deleted=m.gamma_deleted,
-                               gamma_sub3=m.gamma_sub3, detail="sandwich bound failed"))
-    return out
+def _check_t5_sandwich(g: Graph, p: PropertyDescriptor, options: VerifyOptions, e: Edge):
+    m = check_multi1(g, e, p)
+    if not m.sandwich:
+        yield _record(g, edge=list(e), gamma_deleted=m.gamma_deleted,
+                      gamma_sub3=m.gamma_sub3, detail="sandwich bound failed")
 
 
-def _check_t5_a1a2(g: Graph, p: PropertyDescriptor, options: VerifyOptions,
-                   edges: list[Edge]):
-    out = []
-    for e in edges:
-        m = check_multi1(g, e, p)
-        if m.a1 != m.a2:
-            out.append(_record(g, edge=list(e), a1=m.a1, a2=m.a2,
-                               detail="a1 and a2 differ"))
-    return out
+def _check_t5_a1a2(g: Graph, p: PropertyDescriptor, options: VerifyOptions, e: Edge):
+    m = check_multi1(g, e, p)
+    if m.a1 != m.a2:
+        yield _record(g, edge=list(e), a1=m.a1, a2=m.a2, detail="a1 and a2 differ")
 
 
-def _check_t5_a1a3(g: Graph, p: PropertyDescriptor, options: VerifyOptions,
-                   edges: list[Edge]):
-    out = []
-    for e in edges:
-        m = check_multi1(g, e, p)
-        if m.a1 != m.a3:
-            out.append(_record(g, edge=list(e), a1=m.a1, a3=m.a3,
-                               detail="a1 and a3 differ"))
-    return out
+def _check_t5_a1a3(g: Graph, p: PropertyDescriptor, options: VerifyOptions, e: Edge):
+    m = check_multi1(g, e, p)
+    if m.a1 != m.a3:
+        yield _record(g, edge=list(e), a1=m.a1, a3=m.a3, detail="a1 and a3 differ")
 
 
-def _check_t6_iff(g: Graph, p: PropertyDescriptor, options: VerifyOptions,
-                  edges: list[Edge]):
-    out = []
-    for e in edges:
-        m = check_multi4(g, e, p)
-        if not m.iff_holds:
-            out.append(_record(g, edge=list(e), values=list(m.profile.values),
-                               detail="triple-subdivision iff failed"))
-    return out
+def _check_t6_iff(g: Graph, p: PropertyDescriptor, options: VerifyOptions, e: Edge):
+    m = check_multi4(g, e, p)
+    if not m.iff_holds:
+        yield _record(g, edge=list(e), values=list(m.profile.values),
+                      detail="triple-subdivision iff failed")
 
 
-def _check_t6_chain(g: Graph, p: PropertyDescriptor, options: VerifyOptions,
-                    edges: list[Edge]):
-    out = []
-    for e in edges:
-        m = check_multi4(g, e, p)
-        if m.chain is False:
-            out.append(_record(g, edge=list(e), values=list(m.profile.values),
-                               detail="seven-term profile chain failed"))
-    return out
+def _check_t6_chain(g: Graph, p: PropertyDescriptor, options: VerifyOptions, e: Edge):
+    m = check_multi4(g, e, p)
+    if m.chain is False:
+        yield _record(g, edge=list(e), values=list(m.profile.values),
+                      detail="seven-term profile chain failed")
 
 
-def _check_t6_msd3(g: Graph, p: PropertyDescriptor, options: VerifyOptions,
-                   edges: list[Edge]):
-    out = []
-    for e in edges:
-        m = check_multi4(g, e, p)
-        if not m.msd_le_3:
-            out.append(_record(g, edge=list(e), msd=str(m.profile.msd),
-                               values=list(m.profile.values),
-                               detail="multisubdivision number above 3"))
-    return out
+def _check_t6_msd3(g: Graph, p: PropertyDescriptor, options: VerifyOptions, e: Edge):
+    m = check_multi4(g, e, p)
+    if not m.msd_le_3:
+        yield _record(g, edge=list(e), msd=str(m.profile.msd), values=list(m.profile.values),
+                      detail="multisubdivision number above 3")
 
 
-def _check_ta_vertex(g: Graph, p: PropertyDescriptor, options: VerifyOptions,
-                     edges: list[Edge]):
+def _check_ta_vertex(g: Graph, p: PropertyDescriptor, options: VerifyOptions):
     base = gamma_value(g, p)
     out = []
     for v in range(g.n):
@@ -313,60 +262,49 @@ def _check_ta_vertex(g: Graph, p: PropertyDescriptor, options: VerifyOptions,
     return out
 
 
-def _check_tb_edgeadd(g: Graph, p: PropertyDescriptor, options: VerifyOptions,
-                      edges: list[Edge]):
+def _check_tb_edgeadd(g: Graph, p: PropertyDescriptor, options: VerifyOptions, e: Edge):
     base = gamma_value(g, p)
-    out = []
-    for e in edges:
-        m = check_multi1(g, e, p)
-        if base < m.gamma_deleted and base != m.gamma_deleted - 1:
-            out.append(_record(g, edge=list(e), gamma=base,
-                               gamma_deleted=m.gamma_deleted,
-                               detail="edge addition gained more than one"))
-        lhs = base == m.gamma_deleted - 1
-        if lhs != m.a2:
-            out.append(_record(g, edge=list(e), drop_by_one=lhs, conditions=m.a2,
-                               detail="edge-addition iff failed"))
-    return out
+    m = check_multi1(g, e, p)
+    if base < m.gamma_deleted and base != m.gamma_deleted - 1:
+        yield _record(g, edge=list(e), gamma=base, gamma_deleted=m.gamma_deleted,
+                      detail="edge addition gained more than one")
+    lhs = base == m.gamma_deleted - 1
+    if lhs != m.a2:
+        yield _record(g, edge=list(e), drop_by_one=lhs, conditions=m.a2,
+                      detail="edge-addition iff failed")
 
 
-def _check_tc_plus1(g: Graph, p: PropertyDescriptor, options: VerifyOptions,
-                    edges: list[Edge]):
-    base = gamma_value(g, p)
-    out = []
-    for e in edges:
-        x, y = e
-        reduced_graph = delete_edge(g, e)
-        deleted = gamma_value(reduced_graph, p)
-        if base <= deleted:
-            continue  # out of this statement's scope
-        pair = (1 << x) | (1 << y)
-        for M in all_minimum_sets(reduced_graph, p):
-            if holds_induced(p, g, M):
-                out.append(_record(g, edge=list(e), minimum_set=members(M),
-                                   detail="minimum set of the deleted graph keeps "
-                                          "the property with the edge restored"))
-            if M & pair != pair:
-                out.append(_record(g, edge=list(e), minimum_set=members(M),
-                                   detail="minimum set missing an endpoint"))
-        for a, b in ((x, y), (y, x)):
-            smaller, _ = delete_vertex(g, a)
-            reduced = gamma_value(smaller, p)
-            if reduced < deleted:
-                out.append(_record(g, edge=list(e), vertex=a, gamma_deleted=deleted,
-                                   gamma_vertex_deleted=reduced,
-                                   detail="vertex deletion undercut edge deletion"))
-            elif reduced == deleted:
-                b_new = b - 1 if b > a else b
-                if in_some_minimum_set(smaller, p, b_new):
-                    out.append(_record(g, edge=list(e), vertex=a, other=b,
-                                       detail="other endpoint occurs in a minimum "
-                                              "set despite equal gamma"))
-    return out
+def _check_tc_plus1(g: Graph, p: PropertyDescriptor, options: VerifyOptions, e: Edge):
+    x, y = e
+    reduced_graph = delete_edge(g, e)
+    deleted = gamma_value(reduced_graph, p)
+    if gamma_value(g, p) <= deleted:
+        return  # out of this statement's scope
+    pair = (1 << x) | (1 << y)
+    for M in all_minimum_sets(reduced_graph, p):
+        if holds_induced(p, g, M):
+            yield _record(g, edge=list(e), minimum_set=members(M),
+                          detail="minimum set of the deleted graph keeps "
+                                 "the property with the edge restored")
+        if M & pair != pair:
+            yield _record(g, edge=list(e), minimum_set=members(M),
+                          detail="minimum set missing an endpoint")
+    for a, b in ((x, y), (y, x)):
+        smaller, _ = delete_vertex(g, a)
+        reduced = gamma_value(smaller, p)
+        if reduced < deleted:
+            yield _record(g, edge=list(e), vertex=a, gamma_deleted=deleted,
+                          gamma_vertex_deleted=reduced,
+                          detail="vertex deletion undercut edge deletion")
+        elif reduced == deleted:
+            b_new = b - 1 if b > a else b
+            if in_some_minimum_set(smaller, p, b_new):
+                yield _record(g, edge=list(e), vertex=a, other=b,
+                              detail="other endpoint occurs in a minimum "
+                                     "set despite equal gamma")
 
 
-def _check_oracle_equiv(g: Graph, p: PropertyDescriptor, options: VerifyOptions,
-                        edges: list[Edge]):
+def _check_oracle_equiv(g: Graph, p: PropertyDescriptor, options: VerifyOptions):
     fast = gamma(g, p)
     slow = gamma_oracle(g, p)
     out = []
@@ -387,7 +325,10 @@ def _check_oracle_equiv(g: Graph, p: PropertyDescriptor, options: VerifyOptions,
 class _Suite:
     statement: str  # the verified statement this suite is a facet of
     scope: Callable[[PropertyDescriptor], str | None]
-    per_graph: Callable | None  # (g, p, options, edges); None: corpus-level suite
+    # (g, p, options, e) yields the violations at edge e, or (g, p, options)
+    # returns those of g; None: corpus-level suite
+    check: Callable | None
+    per_edge: bool = True
 
 
 SUITES: dict[str, _Suite] = {
@@ -396,18 +337,21 @@ SUITES: dict[str, _Suite] = {
     "COR2-iff": _Suite("s-plus-iff-ordinary-domination", _scope_unrestricted_only,
                        _check_cor2_iff),
     "T3-equiv": _Suite("s-minus-iff-er-minus", _induced_k1, _check_t3_equiv),
-    "COR4-classes": _Suite("criticality-classes-coincide", _induced_k1, _check_cor4_classes),
+    "COR4-classes": _Suite("criticality-classes-coincide", _induced_k1, _check_cor4_classes,
+                           per_edge=False),
     "T5-sandwich": _Suite("triple-subdivision-sandwich", _induced_k1, _check_t5_sandwich),
     "T5-A1A2": _Suite("triple-subdivision-sandwich", _induced_k1, _check_t5_a1a2),
     "T5-A1A3": _Suite("triple-subdivision-sandwich", _hereditary_k1, _check_t5_a1a3),
     "T6-iff": _Suite("multisubdivision-master", _hereditary_k1, _check_t6_iff),
     "T6-chain": _Suite("multisubdivision-master", _hereditary_k1, _check_t6_chain),
     "T6-msd3": _Suite("multisubdivision-master", _hereditary_k1, _check_t6_msd3),
-    "TA-vertex": _Suite("vertex-removal-lemma", _nondegenerate_k1, _check_ta_vertex),
+    "TA-vertex": _Suite("vertex-removal-lemma", _nondegenerate_k1, _check_ta_vertex,
+                        per_edge=False),
     "TB-edgeadd": _Suite("edge-addition-lemma", _hereditary_k1, _check_tb_edgeadd),
     "TC-plus1-lemma": _Suite("plus-one-edge-lemma", _hereditary_k1, _check_tc_plus1),
     "FLAG-audit": _Suite("property-flag-audit", _scope_any, None),
-    "ORACLE-equiv": _Suite("solver-oracle-equivalence", _scope_any, _check_oracle_equiv),
+    "ORACLE-equiv": _Suite("solver-oracle-equivalence", _scope_any, _check_oracle_equiv,
+                           per_edge=False),
 }
 
 # every verified statement -> its suite facets, in registry order
@@ -440,22 +384,23 @@ def _check_graph(pairs, options: VerifyOptions, g: Graph):
     """One task: (hits, seconds) of each (check id, property) pair on g. A
     check id names a per-graph suite or a scan assertion.
 
-    A suite runs on the least edge of each ordered edge orbit; only when
-    that run has a hit does it run again on every edge, and that run is
-    reported, so its hits name the same edges in the same order as a run on
-    every edge would."""
+    The only loop over g's edges for a suite: a per-edge check runs on the
+    least edge of each ordered edge orbit; only when that run has a hit does
+    it run again on every edge, and that run is reported, so its hits name
+    the same edges in the same order as a run on every edge would."""
     out, reps = [], None
     for check_id, p in pairs:
         started = time.perf_counter()
-        if check_id in SUITES:
-            check = SUITES[check_id].per_graph
+        suite = SUITES.get(check_id)
+        check = suite.check if suite else ASSERTIONS[check_id]
+        if suite is None or not suite.per_edge:  # a graph-level suite or a scan
+            hits = check(g, p, options)
+        else:
             if reps is None:
                 edges, reps = g.edges(), edge_orbit_representatives(g)
-            hits = check(g, p, options, reps)
+            hits = [hit for e in reps for hit in check(g, p, options, e)]
             if hits and reps != edges:
-                hits = check(g, p, options, edges)
-        else:
-            hits = ASSERTIONS[check_id](g, p, options)
+                hits = [hit for e in edges for hit in check(g, p, options, e)]
         out.append((hits, time.perf_counter() - started))
     return out
 
@@ -515,7 +460,7 @@ def run_suites(
             report = SuiteReport(suite_id, p.key, "pass" if reason is None else "skip",
                                  reason=reason or "")
             reports.append(report)
-            if reason is None and suite.per_graph is not None:
+            if reason is None and suite.check is not None:
                 pairs.append((suite_id, p))
                 pending.append(report)
                 continue
@@ -540,13 +485,18 @@ def _has_cut_vertex(g: Graph) -> bool:
                            for v in range(g.n))
 
 
+def _msd_cap3(g: Graph, p: PropertyDescriptor):
+    """The multisubdivision number of g at cap 3; None without edges."""
+    return msd_graph(g, p, 3).msd if g.edges() else None
+
+
 def _scan_s_class(i: int, g: Graph, p: PropertyDescriptor, options: VerifyOptions):
-    m = msd_graph(g, p, 3).msd if g.edges() else None
+    m = _msd_cap3(g, p)
     return [_record(g, label=g.label, msd=m)] if m == i else []
 
 
 def _scan_msd_above_3(g: Graph, p: PropertyDescriptor, options: VerifyOptions):
-    m = msd_graph(g, p, 3).msd if g.edges() else None
+    m = _msd_cap3(g, p)
     return [_record(g, label=g.label, msd=str(m))] if isinstance(m, MsdMarker) else []
 
 

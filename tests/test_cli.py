@@ -126,6 +126,18 @@ class TestMsd:
                    for r in per_edge)
         assert graph_level[0]["msd"] == 1
 
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    @pytest.mark.parametrize("corpus", ["edgeless", "bundled:paths14"])
+    def test_cap_below_one_exit_2(self, capsys, tmp_path, corpus, cap):
+        if corpus == "edgeless":  # no edge: no profile would ever see the cap
+            f = tmp_path / "edgeless.g6"
+            f.write_text("@\nA?\nB?\n")
+            corpus = f"g6:{f}"
+        code, out, err = run_cli(capsys, "msd", "--property", "I",
+                                 "--input", corpus, "--cap", cap)
+        assert code == 2 and out == ""
+        assert f"cap must be >= 1, got {cap}" in err
+
 
 class TestSClass:
     def test_classes(self, capsys, tmp_path):
@@ -182,7 +194,7 @@ class TestVerify:
 
         probe = verifier._Suite(
             "test-statement", lambda p: None,
-            lambda g, p, opt, edges: [{"graph6": "x", "detail": "boom"}]
+            lambda g, p, opt, e: [{"graph6": "x", "detail": "boom"}]
         )
         monkeypatch.setitem(verifier.SUITES, "TEST-fail", probe)
         f = tmp_path / "c.g6"

@@ -24,3 +24,15 @@ def test_same_reports(tmp_path):
     b.write_text('{"suite": "T1-bound", "elapsed": 2.0}\n')
     shorter = compare()
     assert shorter.returncode == 1 and "line 2" in shorter.stdout
+
+
+def test_unreadable_file_is_a_usage_error(tmp_path):
+    a = tmp_path / "a.jsonl"
+    a.write_text('{"suite": "T1-bound", "elapsed": 1.5}\n')
+    missing = tmp_path / "missing.jsonl"
+    for argv in ([a, missing], [missing, a]):
+        run = subprocess.run([sys.executable, str(SAME_REPORTS), *map(str, argv)],
+                             capture_output=True, text=True, timeout=60)
+        assert run.returncode == 2 and run.stdout == ""
+        assert run.stderr.startswith("same_reports: ") and "missing.jsonl" in run.stderr
+        assert "Traceback" not in run.stderr

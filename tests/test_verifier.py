@@ -130,7 +130,7 @@ class TestReports:
         probe = verifier._Suite(
             "test-statement",
             lambda p: None,
-            lambda g, p, opt, edges: [{"graph6": "x", "detail": "always"}],
+            lambda g, p, opt, e: [{"graph6": "x", "detail": "always"}],
         )
         monkeypatch.setitem(SUITES, "TEST-fail", probe)
         r = run_suite("TEST-fail", ANY_GRAPH, SMALL, VerifyOptions(fail_fast=True))
@@ -192,7 +192,7 @@ def _without_elapsed(reports):
     return out
 
 
-PER_GRAPH_SUITES = [s for s, suite in SUITES.items() if suite.per_graph is not None]
+PER_GRAPH_SUITES = [s for s, suite in SUITES.items() if suite.check is not None]
 
 
 def _cold_memos():
@@ -273,7 +273,8 @@ class TestPerGraphLoop:
 
     @pytest.mark.parametrize("literal", [False, True], ids=["symmetric", "literal"])
     def test_orbit_run_equals_run_on_every_edge(self, literal):
-        # every suite body called on every edge of every graph is the reference
+        # every per-edge check called on every edge of every graph, and every
+        # graph-level check on every graph, is the reference
         corpus = load_corpus("n6all")
         props = [parse_property(k) for k in "I,O,C,T,F,UK,D:1,D:2".split(",")]
         opt = VerifyOptions(literal_iii=literal)
@@ -281,8 +282,12 @@ class TestPerGraphLoop:
         for g in corpus:  # graph by graph, as the memos are sized for
             for suite_id, key, found in expected:
                 suite, p = SUITES[suite_id], parse_property(key)
-                if suite.scope(p) is None:
-                    found += suite.per_graph(g, p, opt, g.edges())
+                if suite.scope(p) is not None:
+                    continue
+                if suite.per_edge:
+                    found += [hit for e in g.edges() for hit in suite.check(g, p, opt, e)]
+                else:
+                    found += suite.check(g, p, opt)
         got = [(r.suite, r.property_key, r.violations)
                for r in run_suites(PER_GRAPH_SUITES, props, corpus, opt)]
         assert got == expected
@@ -299,10 +304,10 @@ class TestPerGraphLoop:
         orbit = {(1, 2), (2, 3)}
         asked = []
 
-        def probe(g, p, options, edges):
-            asked.append(list(edges))
-            return [{"graph6": to_graph6(g), "edge": list(e)} for e in edges
-                    if g == diamond and e in orbit]
+        def probe(g, p, options, e):
+            asked.append(e)
+            hit = g == diamond and e in orbit
+            return [{"graph6": to_graph6(g), "edge": list(e)}] if hit else []
 
         monkeypatch.setitem(SUITES, "TEST-orbit",
                             verifier._Suite("test-statement", lambda p: None, probe))
@@ -312,7 +317,42 @@ class TestPerGraphLoop:
                                      {"graph6": g6, "edge": [2, 3]}]
         # K3 is one orbit and has no hit; the diamond's representatives have
         # one, so it runs again on every edge
-        assert asked == [[(0, 1)], [(0, 1), (0, 2), (1, 2)], diamond.edges()]
+        assert asked == [(0, 1), (0, 1), (0, 2), (1, 2), *diamond.edges()]
+
+    def test_per_edge_check_gets_one_edge_per_call(self, monkeypatch):
+        from domlab import verifier
+
+        diamond = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])
+        asked = []
+
+        def probe(g, p, options, e):  # hits at (0, 2), an orbit of its own
+            asked.append(e)
+            yield from [{"edge": list(e)}] if e == (0, 2) else []
+
+        monkeypatch.setitem(SUITES, "TEST-edge",
+                            verifier._Suite("test-statement", lambda p: None, probe))
+        [report] = run_suites(["TEST-edge"], [ANY_GRAPH], [diamond])
+        assert report.violations == [{"edge": [0, 2]}]
+        # the representatives first, then, after their hit, every edge in order
+        assert asked == [(0, 1), (0, 2), (1, 2),
+                         (0, 1), (0, 2), (0, 3), (1, 2), (2, 3)]
+
+    def test_graph_level_check_runs_once_per_graph_and_property(self, monkeypatch):
+        from domlab import verifier
+
+        asked = []
+
+        def probe(g, p, options):  # a hit on every graph: no rerun follows it
+            asked.append((to_graph6(g), p.key))
+            return [{"graph6": to_graph6(g)}]
+
+        monkeypatch.setitem(SUITES, "TEST-graph", verifier._Suite(
+            "test-statement", lambda p: None, probe, per_edge=False))
+        corpus = load_corpus("n5all")[:10] + [complete(4)]
+        props = [ANY_GRAPH, EDGELESS]
+        reports = run_suites(["T3-equiv", "TEST-graph"], props, corpus)
+        assert sorted(asked) == sorted((to_graph6(g), p.key) for g in corpus for p in props)
+        assert [len(r.violations) for r in reports] == [0, 0, len(corpus), len(corpus)]
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_fail_fast_stops_only_the_failing_pair(self, monkeypatch, jobs):
@@ -324,8 +364,9 @@ class TestPerGraphLoop:
         probe = verifier._Suite(
             "test-statement",
             lambda p: None,
-            lambda g, p, options, edges: ([{"graph6": target, "detail": "probe"}]
-                                       if to_graph6(g) == target else []),
+            lambda g, p, options: ([{"graph6": target, "detail": "probe"}]
+                                   if to_graph6(g) == target else []),
+            per_edge=False,
         )
         monkeypatch.setitem(SUITES, "TEST-probe", probe)
         opt = VerifyOptions(fail_fast=True, jobs=jobs)

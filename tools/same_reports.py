@@ -5,6 +5,7 @@
 Exits 0 when both files have the same lines once `elapsed` is dropped from
 every line that is a JSON object (key order is kept, so a reordered line
 differs); otherwise prints the first differing line number and exits 1.
+Exits 2 on a usage error or a file it cannot read.
 """
 
 from __future__ import annotations
@@ -37,8 +38,12 @@ def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print(__doc__.strip(), file=sys.stderr)
         return 2
-    with open(argv[0]) as fa, open(argv[1]) as fb:
-        number = first_difference(fa.read(), fb.read())
+    try:
+        with open(argv[0]) as fa, open(argv[1]) as fb:
+            number = first_difference(fa.read(), fb.read())
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"same_reports: {exc}", file=sys.stderr)
+        return 2
     if number is None:
         return 0
     print(f"first difference at line {number}")
