@@ -1,6 +1,7 @@
 """Command-line interface.
 
-Subcommands (all emit JSON lines on stdout unless --out is given):
+Subcommands (all emit JSON lines on stdout unless --out is given; --out is
+opened at the first line or at the end, so a rejected command keeps it):
 
   gamma      domination number and witness per input graph
   classify   per-edge criticality flags and condition reports
@@ -42,6 +43,17 @@ def _jsonable(x):
     if isinstance(x, MsdMarker):
         return x.value
     return x
+
+
+class _LazyOut:
+    """The --out file, opened (and so emptied) at the first write."""
+
+    def __init__(self, path: str):
+        self.path, self.file = path, None
+
+    def write(self, text: str) -> None:
+        self.file = self.file or open(self.path, "w")
+        self.file.write(text)
 
 
 def _emit(line: dict, out) -> None:
@@ -230,19 +242,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    out = sys.stdout
-    opened = None
+    out = _LazyOut(args.out) if getattr(args, "out", None) else None
     try:
-        if getattr(args, "out", None):
-            opened = open(args.out, "w")
-            out = opened
-        return args.func(args, out)
+        code = args.func(args, out or sys.stdout)
+        if out is not None:
+            out.write("")  # a run without lines still leaves an empty file
+        return code
     except (DomlabError, ScopeError, ValueError, OSError) as exc:
         print(f"domlab: error: {exc}", file=sys.stderr)
         return 2
     finally:
-        if opened is not None:
-            opened.close()
+        if out is not None and out.file is not None:
+            out.file.close()
 
 
 if __name__ == "__main__":

@@ -14,8 +14,9 @@ It is exact on the corpus: every predicate here is invariant under
 isomorphism, so a graph has a subgraph (an induced subgraph) lacking the
 property exactly when one edge or vertex deletion (one vertex deletion)
 turns some subgraph that has it into one that lacks it. The audit checks
-those one-step implications once per isomorphism class of the corpus's
-deletion closure, classes told apart by their canonical form (`canon`).
+those one-step implications once per isomorphism class of the deletion
+closure: two bounded memos keyed by property and canonical form (`canon`)
+hold each class's verdict for every later graph, audit and suite.
 
 Empty-set convention: the empty graph has every property except
 "connected" and "min degree >= 1", for which it is rejected. The predicate
@@ -25,6 +26,7 @@ search monotone for the K1-closed properties.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from .bitset import VertexSet, iter_bits
@@ -202,66 +204,42 @@ class AuditReport:
         return not self.claim_violations
 
 
-def _with_isolated_vertex(g: Graph) -> Graph:
-    return Graph(g.n + 1, g.adj + (0,))
+# one entry per (property, class), bounded as the gamma memo is
+@functools.lru_cache(maxsize=1 << 17)
+def _induced_failure(p: PropertyDescriptor, key: tuple[int, ...]) -> str | None:
+    """For the class with canonical adjacency `key`, which has p: the first
+    failing link of a chain of vertex deletions that ends in a graph lacking
+    p, or None."""
+    h = Graph(len(key), key)
+    full = h.vertex_mask
+    for v in range(h.n):
+        if not holds_induced(p, h, full & ~(1 << v)):
+            return _witness(h, f"vertex {v}", delete_vertex(h, v)[0])
+    for v in range(h.n):
+        hit = _induced_failure(p, canonical_adjacency(h.adj, full & ~(1 << v)))
+        if hit is not None:
+            return hit
+    return None
 
 
-class _DeletionClosure:
-    """The deletion closure of a corpus under p, one entry per isomorphism class.
-
-    A class is held as its canonical graph, keyed by its canonical
-    adjacency. For a class that has p, `induced(key)` and `spanning(key)`
-    return the first failing link of a chain of vertex deletions (of edge
-    or vertex deletions) that ends in a graph lacking p, or None.
-    """
-
-    def __init__(self, p: PropertyDescriptor):
-        self.p = p
-        self.graphs: dict[tuple[int, ...], Graph] = {}
-        self.induced_hits: dict[tuple[int, ...], str | None] = {}
-        self.spanning_hits: dict[tuple[int, ...], str | None] = {}
-
-    def key(self, g: Graph, vertices: VertexSet) -> tuple[int, ...]:
-        """The class of the subgraph of g that `vertices` induces."""
-        key = canonical_adjacency(g.adj, vertices)
-        if key not in self.graphs:
-            self.graphs[key] = Graph(len(key), key)
-        return key
-
-    def induced(self, key: tuple[int, ...]) -> str | None:
-        if key not in self.induced_hits:
-            self.induced_hits[key] = self._induced_failure(self.graphs[key])
-        return self.induced_hits[key]
-
-    def spanning(self, key: tuple[int, ...]) -> str | None:
-        if key not in self.spanning_hits:
-            self.spanning_hits[key] = (self.induced(key)
-                                       or self._edge_failure(self.graphs[key]))
-        return self.spanning_hits[key]
-
-    def _induced_failure(self, h: Graph) -> str | None:
-        full = h.vertex_mask
-        for v in range(h.n):
-            if not holds_induced(self.p, h, full & ~(1 << v)):
-                return _witness(h, f"vertex {v}", delete_vertex(h, v)[0])
-        for v in range(h.n):
-            hit = self.induced(self.key(h, full & ~(1 << v)))
-            if hit is not None:
-                return hit
-        return None
-
-    def _edge_failure(self, h: Graph) -> str | None:
-        # A subgraph of h that is not induced is a subgraph of some h - e;
-        # the induced ones are covered by `induced`.
-        children = [(e, delete_edge(h, e)) for e in h.edges()]
-        for (u, v), child in children:
-            if not holds(self.p, child):
-                return _witness(h, f"edge {u}-{v}", child)
-        for _, child in children:
-            hit = self.spanning(self.key(child, child.vertex_mask))
-            if hit is not None:
-                return hit
-        return None
+@functools.lru_cache(maxsize=1 << 17)
+def _spanning_failure(p: PropertyDescriptor, key: tuple[int, ...]) -> str | None:
+    """As _induced_failure, for chains of edge or vertex deletions."""
+    hit = _induced_failure(p, key)
+    if hit is not None:
+        return hit
+    # A subgraph of h that is not induced is a subgraph of some h - e;
+    # the induced ones are covered by _induced_failure.
+    h = Graph(len(key), key)
+    children = [(e, delete_edge(h, e)) for e in h.edges()]
+    for (u, v), child in children:
+        if not holds(p, child):
+            return _witness(h, f"edge {u}-{v}", child)
+    for _, child in children:
+        hit = _spanning_failure(p, canonical_adjacency(child.adj, child.vertex_mask))
+        if hit is not None:
+            return hit
+    return None
 
 
 def _witness(parent: Graph, deleted: str, child: Graph) -> str:
@@ -269,36 +247,38 @@ def _witness(parent: Graph, deleted: str, child: Graph) -> str:
             f"gives {formats.to_graph6(child)} (lacks it)")
 
 
-def audit_flags(p: PropertyDescriptor, corpus) -> AuditReport:
-    """Test each flag's defining implication on every corpus graph.
+def flag_violations(p: PropertyDescriptor, g: Graph) -> list[tuple[str, str]]:
+    """(flag, detail) for each flag, claimed or not, whose defining
+    implication fails on g.
 
-    nondegenerate and closed_union_K1 are tested on the graph itself. For a
-    graph G that has p, hereditary (induced_hereditary) fails exactly when
-    some chain of edge or vertex deletions (vertex deletions) from G passes
-    through graphs that have p to one that lacks it; the chain's first
-    failing link is the witness. The walk tests the vertex-deleted (then
-    the edge-deleted) children of a class before it descends into them,
-    and memoises each class by its canonical form, so a class of the
-    deletion closure is expanded at most once per call however many corpus
-    graphs contain it.
+    nondegenerate and closed_union_K1 are tested on g itself. If g has p,
+    hereditary (induced_hereditary) fails exactly when some chain of edge or
+    vertex deletions (vertex deletions) from g passes through graphs that
+    have p to one that lacks it; the chain's first failing link is the
+    detail. The walk tests the vertex-deleted (then the edge-deleted)
+    children of a class before it descends into them, and memoises each
+    class by p and canonical form. An entry depends only on holds_induced,
+    which reads p's id and k, the fields descriptor equality compares; the
+    claimed flags filter only afterwards.
     """
+    if not holds(p, g):
+        return ([("nondegenerate", "edgeless graph lacks the property")]
+                if g.edge_count() == 0 else [])
+    out = []
+    if not holds(p, Graph(g.n + 1, g.adj + (0,))):  # g plus an isolated vertex
+        out.append(("closed_union_K1", "fails after adding an isolated vertex"))
+    key = canonical_adjacency(g.adj, g.vertex_mask)
+    hits = (("induced_hereditary", _induced_failure(p, key)),
+            ("hereditary", _spanning_failure(p, key)))
+    return out + [(flag, hit) for flag, hit in hits if hit]
+
+
+def audit_flags(p: PropertyDescriptor, corpus) -> AuditReport:
+    """Test each flag's defining implication on every corpus graph
+    (flag_violations); the memos serve every later audit too."""
     violations: dict[str, list[tuple[str, str]]] = {flag: [] for flag in _FLAGS}
-    closure = _DeletionClosure(p)
-    checked = 0
-    for g in corpus:
-        checked += 1
-        g6 = formats.to_graph6(g)
-        if g.edge_count() == 0 and not holds(p, g):
-            violations["nondegenerate"].append((g6, "edgeless graph lacks the property"))
-        if not holds(p, g):
-            continue
-        if not holds(p, _with_isolated_vertex(g)):
-            violations["closed_union_K1"].append((g6, "fails after adding an isolated vertex"))
-        key = closure.key(g, g.vertex_mask)
-        induced_hit = closure.induced(key)
-        if induced_hit:
-            violations["induced_hereditary"].append((g6, induced_hit))
-        hereditary_hit = closure.spanning(key)
-        if hereditary_hit:
-            violations["hereditary"].append((g6, hereditary_hit))
-    return AuditReport(p, checked, violations)
+    graphs = list(corpus)
+    for g in graphs:
+        for flag, detail in flag_violations(p, g):
+            violations[flag].append((formats.to_graph6(g), detail))
+    return AuditReport(p, len(graphs), violations)

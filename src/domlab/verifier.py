@@ -13,7 +13,8 @@ yields the violations at one edge e of g; a graph-level check
 (g, p, options) returns those of g, the shape scan assertions have too.
 Checks call the edits and the per-edge checks directly; the memos live with
 those functions (the edits in graph.py, check_multi1 and check_multi4 in
-multisubdivision.py, gamma and the minimum sets in solver.py), so an edited
+multisubdivision.py, gamma and the minimum sets in solver.py, the flag
+audit's verdicts per isomorphism class in properties.py), so an edited
 graph or a per-edge check computed for one check or property serves every
 other.
 
@@ -36,8 +37,7 @@ visits every edge it needs itself, since scans hit often and a rerun would
 double their cost.
 
 With jobs > 1 the tasks run on a process pool of at most one worker per
-graph and are merged back in corpus order; corpus-level suites (FLAG-audit)
-stay serial.
+graph and are merged back in corpus order.
 
 Reports are deterministic: two runs over the same corpus and options produce
 identical output except for the elapsed field, the summed time of the
@@ -69,7 +69,7 @@ from .graph import (
     translate_set,
 )
 from .multisubdivision import MsdMarker, check_multi1, check_multi4, msd_graph
-from .properties import PropertyDescriptor, audit_flags, holds_induced, out_of_scope
+from .properties import PropertyDescriptor, flag_violations, holds_induced, out_of_scope
 from .solver import (
     all_minimum_sets,
     gamma,
@@ -321,13 +321,18 @@ def _check_oracle_equiv(g: Graph, p: PropertyDescriptor, options: VerifyOptions)
     return out
 
 
+def _check_flag_audit(g: Graph, p: PropertyDescriptor, options: VerifyOptions):
+    return [_record(g, flag=flag, detail=detail)
+            for flag, detail in sorted(flag_violations(p, g)) if getattr(p, flag)]
+
+
 @dataclass(frozen=True)
 class _Suite:
     statement: str  # the verified statement this suite is a facet of
     scope: Callable[[PropertyDescriptor], str | None]
     # (g, p, options, e) yields the violations at edge e, or (g, p, options)
-    # returns those of g; None: corpus-level suite
-    check: Callable | None
+    # returns those of g
+    check: Callable
     per_edge: bool = True
 
 
@@ -349,7 +354,8 @@ SUITES: dict[str, _Suite] = {
                         per_edge=False),
     "TB-edgeadd": _Suite("edge-addition-lemma", _hereditary_k1, _check_tb_edgeadd),
     "TC-plus1-lemma": _Suite("plus-one-edge-lemma", _hereditary_k1, _check_tc_plus1),
-    "FLAG-audit": _Suite("property-flag-audit", _scope_any, None),
+    "FLAG-audit": _Suite("property-flag-audit", _scope_any, _check_flag_audit,
+                         per_edge=False),
     "ORACLE-equiv": _Suite("solver-oracle-equivalence", _scope_any, _check_oracle_equiv,
                            per_edge=False),
 }
@@ -359,15 +365,6 @@ STATEMENT_COVERAGE: dict[str, tuple[str, ...]] = {
     statement: tuple(s for s, suite in SUITES.items() if suite.statement == statement)
     for statement in dict.fromkeys(suite.statement for suite in SUITES.values())
 }
-
-
-def _run_flag_audit(p: PropertyDescriptor, graphs: list[Graph]) -> list[Violation]:
-    report = audit_flags(p, graphs)
-    return [
-        {"graph6": g6, "flag": flag, "detail": detail}
-        for flag, hits in sorted(report.claim_violations.items())
-        for g6, detail in hits
-    ]
 
 
 def run_suite(
@@ -443,35 +440,25 @@ def run_suites(
 ) -> list[SuiteReport]:
     """Run each suite for each property; reports in (suite, property) order.
 
-    Per-graph suites run in one walk over the corpus, all in-scope pairs in
-    one task per graph (see _walk). Corpus-level suites run serially.
+    Every in-scope pair runs in one walk over the corpus, all of them in one
+    task per graph (see _walk).
     """
     for suite_id in suite_ids:
         if suite_id not in SUITES:
             raise ValueError(f"unknown suite {suite_id!r}; known: {', '.join(SUITES)}")
-    opt = options or VerifyOptions()
-    graphs = list(corpus)
-    reports, pairs, pending = [], [], []  # pending: reports of the pairs
+    reports, pairs = [], []
     for suite_id in suite_ids:
-        suite = SUITES[suite_id]
         for p in properties:
-            started = time.perf_counter()
-            reason = suite.scope(p)
-            report = SuiteReport(suite_id, p.key, "pass" if reason is None else "skip",
-                                 reason=reason or "")
-            reports.append(report)
-            if reason is None and suite.check is not None:
-                pairs.append((suite_id, p))
-                pending.append(report)
-                continue
+            reason = SUITES[suite_id].scope(p)
+            status = "pass" if reason is None else "skip"
+            reports.append(SuiteReport(suite_id, p.key, status, reason=reason or ""))
             if reason is None:
-                report.violations = _run_flag_audit(p, graphs)
-                report.graphs_checked = len(graphs)
-            report.elapsed = time.perf_counter() - started
-    for report, (hits, checked, seconds) in zip(pending, _walk(pairs, opt, graphs)):
+                pairs.append((suite_id, p))
+    in_scope = [r for r in reports if r.status == "pass"]
+    walked = _walk(pairs, options or VerifyOptions(), list(corpus))
+    for report, (hits, checked, seconds) in zip(in_scope, walked):
         report.violations, report.graphs_checked, report.elapsed = hits, checked, seconds
-    for report in reports:
-        if report.violations:
+        if hits:
             report.status = "fail"
     return reports
 

@@ -246,11 +246,12 @@ class TestVerify:
         assert all(r["status"] == "pass" and r["graphs_checked"] == 995
                    for r in records)
 
-    def test_flag_audit_report_matches_benchmark_reference(self, capsys):
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_flag_audit_report_matches_benchmark_reference(self, capsys, jobs):
         reference = benchmark_reference("tiny/flag-audit/0")
         code, out, _ = run_cli(capsys, "verify", "--suites", "FLAG-audit",
                                "--properties", "I,O,C,T,F,UK,D:1",
-                               "--corpus", "bundled:n5all")
+                               "--corpus", "bundled:n5all", "--jobs", jobs)
         assert code == 0
         assert report_digests(out) == reference
 
@@ -303,3 +304,34 @@ class TestScan:
         code, _, err = run_cli(capsys, "scan", "--assertion", "in-S9",
                                "--property", "I", "--corpus", "bundled:paths14")
         assert code == 2 and "unknown assertion" in err
+
+
+class TestOutFile:
+    @pytest.mark.parametrize("argv", [
+        ["msd", "--property", "I", "--cap", "0", "--input", "bundled:paths14"],
+        ["verify", "--suites", "T9", "--properties", "I", "--corpus", "bundled:paths14"],
+        ["verify", "--suites", "T1-bound", "--properties", "I",
+         "--corpus", "bundled:paths14", "--jobs", "0"],
+    ], ids=["msd-cap-0", "verify-unknown-suite", "verify-jobs-0"])
+    def test_rejected_command_keeps_the_file(self, capsys, tmp_path, argv):
+        report = tmp_path / "report.jsonl"
+        report.write_text("an earlier report\n")
+        code, out, err = run_cli(capsys, *argv, "--out", str(report))
+        assert code == 2 and out == "" and "error" in err
+        assert report.read_text() == "an earlier report\n"
+
+    def test_successful_command_replaces_the_file(self, capsys, tmp_path):
+        report = tmp_path / "report.jsonl"
+        report.write_text("an earlier report\n")
+        code, out, _ = run_cli(capsys, "sclass", "--property", "I",
+                               "--input", "bundled:paths14", "--out", str(report))
+        assert code == 0 and out == ""
+        assert [r["property"] for r in jsonl(report.read_text())] == ["I"] * 13
+
+    def test_successful_command_without_lines_empties_the_file(self, capsys, tmp_path):
+        report = tmp_path / "report.jsonl"
+        report.write_text("an earlier report\n")
+        code, _, _ = run_cli(capsys, "scan", "--assertion", "msd-above-3",
+                             "--property", "I", "--corpus", "bundled:paths14",
+                             "--out", str(report))
+        assert code == 0 and report.read_text() == ""

@@ -253,6 +253,20 @@ WITNESS = re.compile(r"deleting (?:vertex (?P<vertex>\d+)|edge (?P<u>\d+)-(?P<v>
                      r"gives (?P<child>\S+) \(lacks it\)")
 
 
+@pytest.fixture
+def cold_failure_memos():
+    """Empty the flag audit's memos before and after the test, so no entry
+    computed under a patched predicate outlives it."""
+    from domlab import properties
+
+    memos = (properties._induced_failure, properties._spanning_failure)
+    for memo in memos:
+        memo.cache_clear()
+    yield
+    for memo in memos:
+        memo.cache_clear()
+
+
 class TestAuditFlags:
     def test_clique_components_not_hereditary(self, n5):
         report = audit_flags(CLIQUE_COMPONENTS, n5)
@@ -292,7 +306,7 @@ class TestAuditFlags:
         got = {f: [g6 for g6, _ in hits] for f, hits in report.violations.items()}
         assert got == exhaustive_audit(p, [g])
 
-    def test_edge_deletions_two_deep(self, monkeypatch, n5):
+    def test_edge_deletions_two_deep(self, cold_failure_memos, monkeypatch, n5):
         from domlab import properties
 
         monkeypatch.setattr(properties, "holds_induced",
@@ -316,6 +330,16 @@ class TestAuditFlags:
         for violation in record["violations"]:
             replay(p, violation["detail"])
         assert [v["flag"] for v in record["violations"]] == [flag]
+
+    @pytest.mark.parametrize("overclaimed_first", [True, False])
+    def test_memo_serves_the_real_and_the_overclaimed_descriptor(
+            self, cold_failure_memos, overclaimed_first):
+        # both share memo entries: the claimed flags filter only afterwards
+        p, g, flag = OVERCLAIMED[0]
+        order = [p, CLIQUE_COMPONENTS][::1 if overclaimed_first else -1]
+        got = {q.name: audit_flags(q, [g]).claim_violations for q in order}
+        assert list(got[p.name]) == [flag]
+        assert got[CLIQUE_COMPONENTS.name] == {}
 
     def test_vertex_deletions_two_deep(self):
         p, g, _ = OVERCLAIMED[1]

@@ -9,6 +9,7 @@ import pytest
 from domlab import (
     ANY_GRAPH,
     ASSERTIONS,
+    CATALOG,
     CLIQUE_COMPONENTS,
     CONNECTED,
     EDGELESS,
@@ -192,7 +193,9 @@ def _without_elapsed(reports):
     return out
 
 
-PER_GRAPH_SUITES = [s for s, suite in SUITES.items() if suite.check is not None]
+# every suite but FLAG-audit, which the tests below check apart: its walk
+# over deletion closures would swamp the edit and build counts
+PER_GRAPH_SUITES = [s for s in SUITES if s != "FLAG-audit"]
 
 
 def _cold_memos():
@@ -436,6 +439,44 @@ def _scan_reference(g, p):
         "er-minus-exists": _first_er_minus_edge(g, p),
         "s2-with-cut-vertex": {"msd": 2} if m == 2 and _has_cut_vertex(g) else None,
     }
+
+
+# connected, claimed to have every flag: C5 and P3 have it, and each loses it
+# with an isolated vertex added, after an edge deletion and after a vertex
+# deletion
+OVERCLAIMED_CONNECTED = PropertyDescriptor(
+    "C", "connected (overclaimed)", hereditary=True, induced_hereditary=True,
+    closed_union_K1=True, nondegenerate=True)
+
+
+class TestFlagAuditInTheWalk:
+    def test_jobs_agree(self):
+        from domlab import properties
+
+        corpus = load_corpus("n6all")
+        props = list(CATALOG) + [parse_property("D:2")]
+        serial = _without_elapsed(run_suites(["FLAG-audit"], props, corpus))
+        for memo in (properties._induced_failure, properties._spanning_failure):
+            memo.cache_clear()  # so each worker fills its own
+        assert serial == _without_elapsed(
+            run_suites(["FLAG-audit"], props, corpus, VerifyOptions(jobs=2)))
+        assert [(r["status"], r["graphs_checked"]) for r in serial] == [
+            ("pass", len(corpus))] * len(props)
+
+    def test_violations_are_graph_major_then_by_flag(self):
+        [report] = run_suites(["FLAG-audit"], [OVERCLAIMED_CONNECTED],
+                              [cycle(5), path(3)])
+        flags = ["closed_union_K1", "hereditary", "induced_hereditary"]
+        assert [(v["graph6"], v["flag"]) for v in report.violations] == [
+            (to_graph6(g), flag) for g in (cycle(5), path(3)) for flag in flags]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_fail_fast_stops_after_the_first_violating_graph(self, jobs):
+        [report] = run_suites(["FLAG-audit"], [OVERCLAIMED_CONNECTED],
+                              [cycle(5), path(3)],
+                              VerifyOptions(fail_fast=True, jobs=jobs))
+        assert report.status == "fail" and report.graphs_checked == 1
+        assert {v["graph6"] for v in report.violations} == {to_graph6(cycle(5))}
 
 
 class TestScans:
