@@ -25,7 +25,7 @@ from .corpus import BUNDLED, resolve_corpus
 from .criticality import classify_edge
 from .errors import DomlabError, ScopeError
 from .formats import to_graph6
-from .multisubdivision import DEFAULT_CAP, MsdMarker, edge_minima, profile, s_class
+from .multisubdivision import DEFAULT_CAP, edge_minima, profile, s_class
 from .properties import parse_property, require
 from .solver import gamma
 from .verifier import (
@@ -37,12 +37,6 @@ from .verifier import (
     run_suites,
     scan_counterexamples,
 )
-
-
-def _jsonable(x):
-    if isinstance(x, MsdMarker):
-        return x.value
-    return x
 
 
 class _LazyOut:
@@ -115,9 +109,9 @@ def _cmd_msd(args, out) -> int:
                 "property": p.key,
                 "edge": list(pr.edge),
                 "values": list(pr.values),
-                "msd": _jsonable(pr.msd),
-                "msd_plus": _jsonable(pr.msd_plus),
-                "msd_minus": _jsonable(pr.msd_minus),
+                "msd": pr.msd,
+                "msd_plus": pr.msd_plus,
+                "msd_minus": pr.msd_minus,
                 "cap": pr.cap,
             }, out)
         if profiles:
@@ -126,9 +120,9 @@ def _cmd_msd(args, out) -> int:
                 "graph": g6,
                 "property": p.key,
                 "edge": None,
-                "msd": _jsonable(graph_level.msd),
-                "msd_plus": _jsonable(graph_level.msd_plus),
-                "msd_minus": _jsonable(graph_level.msd_minus),
+                "msd": graph_level.msd,
+                "msd_plus": graph_level.msd_plus,
+                "msd_minus": graph_level.msd_minus,
                 "cap": args.cap,
             }, out)
     return 0

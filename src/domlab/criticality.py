@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .bitset import VertexSet
-from .graph import Edge, Graph, delete_edge, private_neighbors, subdivide_edge
+from .graph import Edge, Graph, check_edge, delete_edge, private_neighbors, subdivide_edge
 from .properties import ANY_GRAPH, PropertyDescriptor, holds_induced, require
 from .solver import all_minimum_sets, gamma_value, is_dominating
 
@@ -70,11 +70,7 @@ def check_theorem1_conditions(
     if value is None or M.bit_count() != value or not is_dominating(g, M) or \
             not holds_induced(p, g, M):
         raise ValueError("M is not a minimum dominating p-set of g")
-    u, v = e
-    if u > v:
-        u, v = v, u
-    if not g.has_edge(u, v):
-        raise ValueError(f"edge ({u},{v}) not present")
+    u, v = check_edge(g, e)
     ubit, vbit = 1 << u, 1 << v
     pair = ubit | vbit
 
@@ -95,11 +91,7 @@ def classify_edge(g: Graph, e: Edge, p: PropertyDescriptor,
                   literal: bool = False) -> EdgeClassification:
     """Gamma values and criticality flags for one edge, plus the per-minimum-set
     condition report."""
-    u, v = e
-    if u > v:
-        u, v = v, u
-    if not g.has_edge(u, v):
-        raise ValueError(f"edge ({u},{v}) not present")
+    u, v = check_edge(g, e)
     base = gamma_value(g, p)
     subdivided = gamma_value(subdivide_edge(g, (u, v), 1), p)
     deleted = gamma_value(delete_edge(g, (u, v)), p)

@@ -109,7 +109,8 @@ def _check_vertex(g: Graph, v: int) -> None:
         raise ValueError(f"vertex {v} out of range for n={g.n}")
 
 
-def _check_edge(g: Graph, e: Edge) -> Edge:
+def check_edge(g: Graph, e: Edge) -> Edge:
+    """e as (u, v) with u < v; ValueError unless it is an edge of g."""
     u, v = e
     _check_vertex(g, u)
     _check_vertex(g, v)
@@ -137,7 +138,7 @@ def degree(g: Graph, v: int) -> int:
 
 @memo_by_edge
 def delete_edge(g: Graph, e: Edge) -> Graph:
-    u, v = _check_edge(g, e)
+    u, v = check_edge(g, e)
     rows = list(g.adj)
     rows[u] &= ~(1 << v)
     rows[v] &= ~(1 << u)
@@ -185,7 +186,7 @@ def subdivide_edge(g: Graph, e: Edge, t: int) -> Graph:
     """
     if t < 1:
         raise ValueError(f"subdivision count must be >= 1, got {t}")
-    u, v = _check_edge(g, e)
+    u, v = check_edge(g, e)
     n = g.n
     rows = list(g.adj) + [0] * t
     rows[u] &= ~(1 << v)

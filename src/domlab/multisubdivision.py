@@ -25,7 +25,15 @@ from typing import NamedTuple
 
 from .errors import BoundViolation
 from . import formats
-from .graph import Edge, Graph, delete_edge, delete_vertex, memo_by_edge, subdivide_edge
+from .graph import (
+    Edge,
+    Graph,
+    check_edge,
+    delete_edge,
+    delete_vertex,
+    memo_by_edge,
+    subdivide_edge,
+)
 from .properties import PropertyDescriptor, require
 from .solver import gamma_value, in_some_minimum_set
 
@@ -71,11 +79,7 @@ def profile(g: Graph, e: Edge, p: PropertyDescriptor, cap: int = DEFAULT_CAP) ->
     """Gamma under t-fold subdivision of e, for t = 0..cap, with msd numbers."""
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
-    u, v = e
-    if u > v:
-        u, v = v, u
-    if not g.has_edge(u, v):
-        raise ValueError(f"edge ({u},{v}) not present")
+    u, v = check_edge(g, e)
     values = [gamma_value(g, p)]
     for t in range(1, cap + 1):
         values.append(gamma_value(subdivide_edge(g, (u, v), t), p))

@@ -240,14 +240,17 @@ def gamma_oracle(g: Graph, p: PropertyDescriptor) -> GammaResult:
     return GammaResult(None, None, p, g.label)
 
 
-@lru_cache(maxsize=MEMO_SIZE)
-def _all_minimum_sets(g: Graph, p: PropertyDescriptor) -> tuple[VertexSet, ...]:
+def _defined_gamma(g: Graph, p: PropertyDescriptor) -> int:
+    """The domination number; UndefinedGammaError when it is undefined."""
     value = _gamma_value(g, p)
     if value is None:
-        raise UndefinedGammaError(
-            f"gamma is undefined for property {p.key} on this graph"
-        )
-    return tuple(_minimum_sets(g, p, value))
+        raise UndefinedGammaError(f"gamma is undefined for property {p.key} on this graph")
+    return value
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _all_minimum_sets(g: Graph, p: PropertyDescriptor) -> tuple[VertexSet, ...]:
+    return tuple(_minimum_sets(g, p, _defined_gamma(g, p)))
 
 
 def all_minimum_sets(g: Graph, p: PropertyDescriptor) -> list[VertexSet]:
@@ -264,12 +267,7 @@ def in_some_minimum_set(g: Graph, p: PropertyDescriptor, v: int) -> bool:
     """
     if not 0 <= v < g.n:
         raise ValueError(f"vertex {v} out of range for n={g.n}")
-    value = _gamma_value(g, p)
-    if value is None:
-        raise UndefinedGammaError(
-            f"gamma is undefined for property {p.key} on this graph"
-        )
-    return _Search(g, p).find(value - 1, start_set=1 << v) is not None
+    return _Search(g, p).find(_defined_gamma(g, p) - 1, start_set=1 << v) is not None
 
 
 def v_minus_set(g: Graph, p: PropertyDescriptor) -> VertexSet:
@@ -278,11 +276,7 @@ def v_minus_set(g: Graph, p: PropertyDescriptor) -> VertexSet:
     Vertices where gamma of the deleted graph is undefined are excluded: an
     undefined value is not a decrease.
     """
-    value = _gamma_value(g, p)
-    if value is None:
-        raise UndefinedGammaError(
-            f"gamma is undefined for property {p.key} on this graph"
-        )
+    value = _defined_gamma(g, p)
     out = 0
     for v in range(g.n):
         smaller, _ = delete_vertex(g, v)

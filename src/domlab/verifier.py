@@ -8,11 +8,15 @@ yields a "skip" status (never a silent pass), because a violation outside
 the hypotheses would be meaningless. Each suite names the statement it
 checks, and STATEMENT_COVERAGE, statement -> suites, is read off SUITES.
 
-A suite's check has one of two shapes. A per-edge check (g, p, options, e)
-yields the violations at one edge e of g; a graph-level check
-(g, p, options) returns those of g, the shape scan assertions have too.
-Checks call the edits and the per-edge checks directly; the memos live with
-those functions (the edits in graph.py, check_multi1 and check_multi4 in
+Every suite check and scan assertion is a generator of findings, each a
+dict of one hit's details: a per-edge check (g, p, options, e) yields those
+at edge e of g, a graph-level check or a scan (g, p, options) those of g.
+The per-graph task writes every record, {"graph6": ..., "edge": [u, v],
+**finding}, with "edge" only for a per-edge check, so no finding holds
+"graph6" and no per-edge finding holds "edge" (the "edge" of an
+er-minus-exists hit is the first edge whose deletion lowers gamma). Checks
+call the edits and the per-edge checks directly; the memos live with those
+functions (the edits in graph.py, check_multi1 and check_multi4 in
 multisubdivision.py, gamma and the minimum sets in solver.py, the flag
 audit's verdicts per isomorphism class in properties.py), so an edited
 graph or a per-edge check computed for one check or property serves every
@@ -79,8 +83,6 @@ from .solver import (
     is_dominating,
 )
 
-Violation = dict
-
 
 @dataclass(frozen=True)
 class VerifyOptions:
@@ -100,7 +102,7 @@ class SuiteReport:
     status: str  # "pass" | "fail" | "skip"
     reason: str = ""
     graphs_checked: int = 0
-    violations: list[Violation] = field(default_factory=list)
+    violations: list[dict] = field(default_factory=list)
     elapsed: float = 0.0
 
     def to_json_dict(self) -> dict:
@@ -130,12 +132,6 @@ def _scope_any(p: PropertyDescriptor) -> str | None:
     return None
 
 
-def _record(g: Graph, **details) -> Violation:
-    out = {"graph6": to_graph6(g)}
-    out.update(details)
-    return out
-
-
 # ---------------------------------------------------------------- suites --
 
 
@@ -143,8 +139,8 @@ def _check_t1_bound(g: Graph, p: PropertyDescriptor, options: VerifyOptions, e: 
     base = gamma_value(g, p)
     sub = gamma_value(subdivide_edge(g, e, 1), p)
     if sub > base + 1:
-        yield _record(g, edge=list(e), gamma=base, gamma_subdivided=sub,
-                      detail="single subdivision raised gamma by more than one")
+        yield dict(gamma=base, gamma_subdivided=sub,
+                   detail="single subdivision raised gamma by more than one")
 
 
 def _check_t1_necessity(g: Graph, p: PropertyDescriptor, options: VerifyOptions, e: Edge):
@@ -153,12 +149,12 @@ def _check_t1_necessity(g: Graph, p: PropertyDescriptor, options: VerifyOptions,
     if sub <= base:
         return
     if sub != base + 1:
-        yield _record(g, edge=list(e), gamma=base, gamma_subdivided=sub,
-                      detail="critical edge without the forced +1 value")
+        yield dict(gamma=base, gamma_subdivided=sub,
+                   detail="critical edge without the forced +1 value")
     for M in all_minimum_sets(g, p):
         if not check_theorem1_conditions(g, e, p, M, literal=options.literal_iii).any:
-            yield _record(g, edge=list(e), minimum_set=members(M),
-                          detail="critical edge with a minimum set satisfying no condition")
+            yield dict(minimum_set=members(M),
+                       detail="critical edge with a minimum set satisfying no condition")
 
 
 def _check_cor2_iff(g: Graph, p: PropertyDescriptor, options: VerifyOptions, e: Edge):
@@ -166,8 +162,7 @@ def _check_cor2_iff(g: Graph, p: PropertyDescriptor, options: VerifyOptions, e: 
     rhs = all(check_theorem1_conditions(g, e, p, M, literal=options.literal_iii).any
               for M in all_minimum_sets(g, p))
     if lhs != rhs:
-        yield _record(g, edge=list(e), s_plus=lhs, conditions_all=rhs,
-                      detail="iff characterization mismatch")
+        yield dict(s_plus=lhs, conditions_all=rhs, detail="iff characterization mismatch")
 
 
 def _check_t3_equiv(g: Graph, p: PropertyDescriptor, options: VerifyOptions, e: Edge):
@@ -175,8 +170,8 @@ def _check_t3_equiv(g: Graph, p: PropertyDescriptor, options: VerifyOptions, e: 
     s_minus = gamma_value(subdivide_edge(g, e, 1), p) < base
     er_minus = gamma_value(delete_edge(g, e), p) < base
     if s_minus != er_minus:
-        yield _record(g, edge=list(e), s_minus=s_minus, er_minus=er_minus,
-                      detail="subdivision and deletion criticality differ")
+        yield dict(s_minus=s_minus, er_minus=er_minus,
+                   detail="subdivision and deletion criticality differ")
 
 
 def _check_cor4_classes(g: Graph, p: PropertyDescriptor, options: VerifyOptions):
@@ -184,68 +179,62 @@ def _check_cor4_classes(g: Graph, p: PropertyDescriptor, options: VerifyOptions)
     cs = all(gamma_value(subdivide_edge(g, e, 1), p) < base for e in g.edges())
     cer = all(gamma_value(delete_edge(g, e), p) < base for e in g.edges())
     if cs != cer:
-        return [_record(g, cs_minus=cs, cer_minus=cer,
-                        detail="all-edges criticality classes differ")]
-    return []
+        yield dict(cs_minus=cs, cer_minus=cer, detail="all-edges criticality classes differ")
 
 
 def _check_t5_sandwich(g: Graph, p: PropertyDescriptor, options: VerifyOptions, e: Edge):
     m = check_multi1(g, e, p)
     if not m.sandwich:
-        yield _record(g, edge=list(e), gamma_deleted=m.gamma_deleted,
-                      gamma_sub3=m.gamma_sub3, detail="sandwich bound failed")
+        yield dict(gamma_deleted=m.gamma_deleted, gamma_sub3=m.gamma_sub3,
+                   detail="sandwich bound failed")
 
 
 def _check_t5_a1a2(g: Graph, p: PropertyDescriptor, options: VerifyOptions, e: Edge):
     m = check_multi1(g, e, p)
     if m.a1 != m.a2:
-        yield _record(g, edge=list(e), a1=m.a1, a2=m.a2, detail="a1 and a2 differ")
+        yield dict(a1=m.a1, a2=m.a2, detail="a1 and a2 differ")
 
 
 def _check_t5_a1a3(g: Graph, p: PropertyDescriptor, options: VerifyOptions, e: Edge):
     m = check_multi1(g, e, p)
     if m.a1 != m.a3:
-        yield _record(g, edge=list(e), a1=m.a1, a3=m.a3, detail="a1 and a3 differ")
+        yield dict(a1=m.a1, a3=m.a3, detail="a1 and a3 differ")
 
 
 def _check_t6_iff(g: Graph, p: PropertyDescriptor, options: VerifyOptions, e: Edge):
     m = check_multi4(g, e, p)
     if not m.iff_holds:
-        yield _record(g, edge=list(e), values=list(m.profile.values),
-                      detail="triple-subdivision iff failed")
+        yield dict(values=list(m.profile.values), detail="triple-subdivision iff failed")
 
 
 def _check_t6_chain(g: Graph, p: PropertyDescriptor, options: VerifyOptions, e: Edge):
     m = check_multi4(g, e, p)
     if m.chain is False:
-        yield _record(g, edge=list(e), values=list(m.profile.values),
-                      detail="seven-term profile chain failed")
+        yield dict(values=list(m.profile.values), detail="seven-term profile chain failed")
 
 
 def _check_t6_msd3(g: Graph, p: PropertyDescriptor, options: VerifyOptions, e: Edge):
     m = check_multi4(g, e, p)
     if not m.msd_le_3:
-        yield _record(g, edge=list(e), msd=str(m.profile.msd), values=list(m.profile.values),
-                      detail="multisubdivision number above 3")
+        yield dict(msd=str(m.profile.msd), values=list(m.profile.values),
+                   detail="multisubdivision number above 3")
 
 
 def _check_ta_vertex(g: Graph, p: PropertyDescriptor, options: VerifyOptions):
     base = gamma_value(g, p)
-    out = []
     for v in range(g.n):
         smaller, kept = delete_vertex(g, v)
         reduced = gamma_value(smaller, p)
         if reduced is None:
-            out.append(_record(g, vertex=v,
-                               detail="gamma undefined after vertex deletion"))
+            yield dict(vertex=v, detail="gamma undefined after vertex deletion")
             continue
         if not in_some_minimum_set(g, p, v) and reduced != base:
-            out.append(_record(g, vertex=v, gamma=base, gamma_deleted=reduced,
-                               detail="vertex in no minimum set changed gamma"))
+            yield dict(vertex=v, gamma=base, gamma_deleted=reduced,
+                       detail="vertex in no minimum set changed gamma")
         if reduced < base:
             if reduced != base - 1:
-                out.append(_record(g, vertex=v, gamma=base, gamma_deleted=reduced,
-                                   detail="deletion lowered gamma by more than one"))
+                yield dict(vertex=v, gamma=base, gamma_deleted=reduced,
+                           detail="deletion lowered gamma by more than one")
             for M in all_minimum_sets(smaller, p):
                 lifted = translate_set(M, kept) | (1 << v)
                 ok = (
@@ -255,23 +244,20 @@ def _check_ta_vertex(g: Graph, p: PropertyDescriptor, options: VerifyOptions):
                     and private_neighbors(g, v, lifted) == 1 << v
                 )
                 if not ok:
-                    out.append(_record(
-                        g, vertex=v, minimum_set=members(lifted),
-                        detail="lifted minimum set not minimum or private "
-                               "neighborhood not the vertex alone"))
-    return out
+                    yield dict(vertex=v, minimum_set=members(lifted),
+                               detail="lifted minimum set not minimum or private "
+                                      "neighborhood not the vertex alone")
 
 
 def _check_tb_edgeadd(g: Graph, p: PropertyDescriptor, options: VerifyOptions, e: Edge):
     base = gamma_value(g, p)
     m = check_multi1(g, e, p)
     if base < m.gamma_deleted and base != m.gamma_deleted - 1:
-        yield _record(g, edge=list(e), gamma=base, gamma_deleted=m.gamma_deleted,
-                      detail="edge addition gained more than one")
+        yield dict(gamma=base, gamma_deleted=m.gamma_deleted,
+                   detail="edge addition gained more than one")
     lhs = base == m.gamma_deleted - 1
     if lhs != m.a2:
-        yield _record(g, edge=list(e), drop_by_one=lhs, conditions=m.a2,
-                      detail="edge-addition iff failed")
+        yield dict(drop_by_one=lhs, conditions=m.a2, detail="edge-addition iff failed")
 
 
 def _check_tc_plus1(g: Graph, p: PropertyDescriptor, options: VerifyOptions, e: Edge):
@@ -283,55 +269,50 @@ def _check_tc_plus1(g: Graph, p: PropertyDescriptor, options: VerifyOptions, e: 
     pair = (1 << x) | (1 << y)
     for M in all_minimum_sets(reduced_graph, p):
         if holds_induced(p, g, M):
-            yield _record(g, edge=list(e), minimum_set=members(M),
-                          detail="minimum set of the deleted graph keeps "
-                                 "the property with the edge restored")
+            yield dict(minimum_set=members(M),
+                       detail="minimum set of the deleted graph keeps "
+                              "the property with the edge restored")
         if M & pair != pair:
-            yield _record(g, edge=list(e), minimum_set=members(M),
-                          detail="minimum set missing an endpoint")
+            yield dict(minimum_set=members(M), detail="minimum set missing an endpoint")
     for a, b in ((x, y), (y, x)):
         smaller, _ = delete_vertex(g, a)
         reduced = gamma_value(smaller, p)
         if reduced < deleted:
-            yield _record(g, edge=list(e), vertex=a, gamma_deleted=deleted,
-                          gamma_vertex_deleted=reduced,
-                          detail="vertex deletion undercut edge deletion")
+            yield dict(vertex=a, gamma_deleted=deleted, gamma_vertex_deleted=reduced,
+                       detail="vertex deletion undercut edge deletion")
         elif reduced == deleted:
             b_new = b - 1 if b > a else b
             if in_some_minimum_set(smaller, p, b_new):
-                yield _record(g, edge=list(e), vertex=a, other=b,
-                              detail="other endpoint occurs in a minimum "
-                                     "set despite equal gamma")
+                yield dict(vertex=a, other=b,
+                           detail="other endpoint occurs in a minimum "
+                                  "set despite equal gamma")
 
 
 def _check_oracle_equiv(g: Graph, p: PropertyDescriptor, options: VerifyOptions):
     fast = gamma(g, p)
     slow = gamma_oracle(g, p)
-    out = []
     if fast.value != slow.value or fast.witness != slow.witness:
-        out.append(_record(
-            g,
+        yield dict(
             solver=[fast.value, members(fast.witness) if fast.witness is not None else None],
             oracle=[slow.value, members(slow.witness) if slow.witness is not None else None],
-            detail="solver and oracle disagree"))
+            detail="solver and oracle disagree")
     elif fast.value is not None:
         if not (is_dominating(g, fast.witness) and holds_induced(p, g, fast.witness)):
-            out.append(_record(g, witness=members(fast.witness),
-                               detail="witness not a dominating p-set"))
-    return out
+            yield dict(witness=members(fast.witness), detail="witness not a dominating p-set")
 
 
 def _check_flag_audit(g: Graph, p: PropertyDescriptor, options: VerifyOptions):
-    return [_record(g, flag=flag, detail=detail)
-            for flag, detail in sorted(flag_violations(p, g)) if getattr(p, flag)]
+    for flag, detail in sorted(flag_violations(p, g)):
+        if getattr(p, flag):
+            yield dict(flag=flag, detail=detail)
 
 
 @dataclass(frozen=True)
 class _Suite:
     statement: str  # the verified statement this suite is a facet of
     scope: Callable[[PropertyDescriptor], str | None]
-    # (g, p, options, e) yields the violations at edge e, or (g, p, options)
-    # returns those of g
+    # yields the findings of one edge, (g, p, options, e), or of one graph,
+    # (g, p, options)
     check: Callable
     per_edge: bool = True
 
@@ -379,25 +360,29 @@ def run_suite(
 
 def _check_graph(pairs, options: VerifyOptions, g: Graph):
     """One task: (hits, seconds) of each (check id, property) pair on g. A
-    check id names a per-graph suite or a scan assertion.
+    check id names a per-graph suite or a scan assertion. The task writes
+    each finding into a hit record, with g's graph6 computed once if at all.
 
     The only loop over g's edges for a suite: a per-edge check runs on the
     least edge of each ordered edge orbit; only when that run has a hit does
     it run again on every edge, and that run is reported, so its hits name
     the same edges in the same order as a run on every edge would."""
-    out, reps = [], None
+    out, reps, g6 = [], None, None
     for check_id, p in pairs:
         started = time.perf_counter()
         suite = SUITES.get(check_id)
         check = suite.check if suite else ASSERTIONS[check_id]
         if suite is None or not suite.per_edge:  # a graph-level suite or a scan
-            hits = check(g, p, options)
+            found = [({}, f) for f in check(g, p, options)]
         else:
             if reps is None:
                 edges, reps = g.edges(), edge_orbit_representatives(g)
-            hits = [hit for e in reps for hit in check(g, p, options, e)]
-            if hits and reps != edges:
-                hits = [hit for e in edges for hit in check(g, p, options, e)]
+            found = [({"edge": list(e)}, f) for e in reps for f in check(g, p, options, e)]
+            if found and reps != edges:
+                found = [({"edge": list(e)}, f) for e in edges for f in check(g, p, options, e)]
+        if found and g6 is None:
+            g6 = to_graph6(g)
+        hits = [{"graph6": g6, **at, **f} for at, f in found]
         out.append((hits, time.perf_counter() - started))
     return out
 
@@ -406,9 +391,9 @@ def _walk(pairs, options: VerifyOptions, graphs: list[Graph]):
     """Run each (check id, property) pair over the corpus: one _check_graph
     task per graph, on a pool of min(options.jobs, len(graphs)) processes
     when that is above 1, merged back in corpus order, so the result is
-    identical to a serial run. Returns per
-    pair its hits, the number of graphs it checked and its summed seconds.
-    With fail_fast, a pair ignores the graphs after its first hit."""
+    identical to a serial run. Returns per pair its hits, the number of
+    graphs it checked and its summed seconds. With fail_fast, a pair ignores
+    the graphs after its first hit."""
     hits, checked, seconds = [[] for _ in pairs], [0] * len(pairs), [0.0] * len(pairs)
     check = functools.partial(_check_graph, tuple(pairs), options)
     workers = min(options.jobs, len(graphs)) if pairs else 1
@@ -479,29 +464,31 @@ def _msd_cap3(g: Graph, p: PropertyDescriptor):
 
 def _scan_s_class(i: int, g: Graph, p: PropertyDescriptor, options: VerifyOptions):
     m = _msd_cap3(g, p)
-    return [_record(g, label=g.label, msd=m)] if m == i else []
+    if m == i:
+        yield dict(label=g.label, msd=m)
 
 
 def _scan_msd_above_3(g: Graph, p: PropertyDescriptor, options: VerifyOptions):
     m = _msd_cap3(g, p)
-    return [_record(g, label=g.label, msd=str(m))] if isinstance(m, MsdMarker) else []
+    if isinstance(m, MsdMarker):
+        yield dict(label=g.label, msd=str(m))
 
 
 def _scan_er_minus_exists(g: Graph, p: PropertyDescriptor, options: VerifyOptions):
     base = gamma_value(g, p)
     if base is None:
-        return []
+        return
     for e in g.edges():
         deleted = gamma_value(delete_edge(g, e), p)
         if deleted is not None and deleted < base:
-            return [_record(g, label=g.label, edge=list(e), gamma=base,
-                            gamma_deleted=deleted)]
-    return []
+            # the first such edge, a detail of this graph-level hit
+            yield dict(label=g.label, edge=list(e), gamma=base, gamma_deleted=deleted)
+            return
 
 
 def _scan_s2_cut_vertex(g: Graph, p: PropertyDescriptor, options: VerifyOptions):
-    hits = _scan_s_class(2, g, p, options)
-    return hits if hits and _has_cut_vertex(g) else []
+    if _has_cut_vertex(g):  # cheaper than the msd
+        yield from _scan_s_class(2, g, p, options)
 
 
 ASSERTIONS = {
@@ -519,7 +506,7 @@ def scan_counterexamples(
     p: PropertyDescriptor,
     corpus: Iterable[Graph],
     options: VerifyOptions | None = None,
-) -> list[Violation]:
+) -> list[dict]:
     """Exploratory scan: the hit records of one assertion, in corpus order,
     from the walk run_suites uses (options.jobs processes; with fail_fast it
     stops at the first graph with a hit)."""

@@ -192,10 +192,10 @@ class TestVerify:
     def test_violation_exit_1(self, capsys, tmp_path, monkeypatch):
         from domlab import verifier
 
-        probe = verifier._Suite(
-            "test-statement", lambda p: None,
-            lambda g, p, opt, e: [{"graph6": "x", "detail": "boom"}]
-        )
+        def boom(g, p, opt, e):
+            yield {"detail": "boom"}
+
+        probe = verifier._Suite("test-statement", lambda p: None, boom)
         monkeypatch.setitem(verifier.SUITES, "TEST-fail", probe)
         f = tmp_path / "c.g6"
         f.write_text("A_\n")

@@ -128,11 +128,10 @@ class TestReports:
     def test_fail_fast_stops_early(self, monkeypatch):
         from domlab import verifier
 
-        probe = verifier._Suite(
-            "test-statement",
-            lambda p: None,
-            lambda g, p, opt, e: [{"graph6": "x", "detail": "always"}],
-        )
+        def always(g, p, opt, e):
+            yield {"detail": "always"}
+
+        probe = verifier._Suite("test-statement", lambda p: None, always)
         monkeypatch.setitem(SUITES, "TEST-fail", probe)
         r = run_suite("TEST-fail", ANY_GRAPH, SMALL, VerifyOptions(fail_fast=True))
         assert r.status == "fail"
@@ -277,20 +276,26 @@ class TestPerGraphLoop:
     @pytest.mark.parametrize("literal", [False, True], ids=["symmetric", "literal"])
     def test_orbit_run_equals_run_on_every_edge(self, literal):
         # every per-edge check called on every edge of every graph, and every
-        # graph-level check on every graph, is the reference
+        # graph-level check on every graph, each finding written into a
+        # record as the per-graph task writes it, is the reference
         corpus = load_corpus("n6all")
         props = [parse_property(k) for k in "I,O,C,T,F,UK,D:1,D:2".split(",")]
         opt = VerifyOptions(literal_iii=literal)
         expected = [(suite_id, p.key, []) for suite_id in PER_GRAPH_SUITES for p in props]
+        keys = set()
         for g in corpus:  # graph by graph, as the memos are sized for
             for suite_id, key, found in expected:
                 suite, p = SUITES[suite_id], parse_property(key)
                 if suite.scope(p) is not None:
                     continue
                 if suite.per_edge:
-                    found += [hit for e in g.edges() for hit in suite.check(g, p, opt, e)]
+                    at = [({"edge": list(e)}, finding)
+                          for e in g.edges() for finding in suite.check(g, p, opt, e)]
                 else:
-                    found += suite.check(g, p, opt)
+                    at = [({}, finding) for finding in suite.check(g, p, opt)]
+                keys.update(k for _, finding in at for k in finding)
+                found += [{"graph6": to_graph6(g), **edge, **finding} for edge, finding in at]
+        assert not keys & {"graph6", "edge"}
         got = [(r.suite, r.property_key, r.violations)
                for r in run_suites(PER_GRAPH_SUITES, props, corpus, opt)]
         assert got == expected
@@ -309,8 +314,8 @@ class TestPerGraphLoop:
 
         def probe(g, p, options, e):
             asked.append(e)
-            hit = g == diamond and e in orbit
-            return [{"graph6": to_graph6(g), "edge": list(e)}] if hit else []
+            if g == diamond and e in orbit:
+                yield {}
 
         monkeypatch.setitem(SUITES, "TEST-orbit",
                             verifier._Suite("test-statement", lambda p: None, probe))
@@ -330,12 +335,14 @@ class TestPerGraphLoop:
 
         def probe(g, p, options, e):  # hits at (0, 2), an orbit of its own
             asked.append(e)
-            yield from [{"edge": list(e)}] if e == (0, 2) else []
+            if e == (0, 2):
+                yield {"detail": "probe"}
 
         monkeypatch.setitem(SUITES, "TEST-edge",
                             verifier._Suite("test-statement", lambda p: None, probe))
         [report] = run_suites(["TEST-edge"], [ANY_GRAPH], [diamond])
-        assert report.violations == [{"edge": [0, 2]}]
+        assert report.violations == [
+            {"graph6": to_graph6(diamond), "edge": [0, 2], "detail": "probe"}]
         # the representatives first, then, after their hit, every edge in order
         assert asked == [(0, 1), (0, 2), (1, 2),
                          (0, 1), (0, 2), (0, 3), (1, 2), (2, 3)]
@@ -347,7 +354,7 @@ class TestPerGraphLoop:
 
         def probe(g, p, options):  # a hit on every graph: no rerun follows it
             asked.append((to_graph6(g), p.key))
-            return [{"graph6": to_graph6(g)}]
+            yield {}
 
         monkeypatch.setitem(SUITES, "TEST-graph", verifier._Suite(
             "test-statement", lambda p: None, probe, per_edge=False))
@@ -357,6 +364,39 @@ class TestPerGraphLoop:
         assert sorted(asked) == sorted((to_graph6(g), p.key) for g in corpus for p in props)
         assert [len(r.violations) for r in reports] == [0, 0, len(corpus), len(corpus)]
 
+    def test_the_task_writes_every_record_around_the_finding(self, monkeypatch):
+        from domlab import verifier
+
+        diamond = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])
+        # P3's ordered orbits are its two edges, so its representative run is
+        # reported; the diamond's hit is reported from the rerun on every edge
+        assert ordered_edge_orbit_representatives(path(3)) == path(3).edges()
+        hitting = [path(3), diamond]
+
+        def per_edge(g, p, options, e):
+            if g in hitting:
+                yield {}
+
+        def per_graph(g, p, options):
+            if g in hitting:
+                yield {}
+
+        monkeypatch.setitem(SUITES, "TEST-edge",
+                            verifier._Suite("test-statement", lambda p: None, per_edge))
+        monkeypatch.setitem(SUITES, "TEST-graph", verifier._Suite(
+            "test-statement", lambda p: None, per_graph, per_edge=False))
+        written = []
+        monkeypatch.setattr(verifier, "to_graph6", lambda g: written.append(g) or to_graph6(g))
+        edge_report, graph_report = run_suites(["TEST-edge", "TEST-graph"], [ANY_GRAPH],
+                                               [cycle(3), *hitting])
+        assert edge_report.violations == [
+            {"graph6": to_graph6(g), "edge": list(e)} for g in hitting for e in g.edges()]
+        assert {tuple(v) for v in edge_report.violations} == {("graph6", "edge")}
+        assert graph_report.violations == [{"graph6": to_graph6(g)} for g in hitting]
+        assert {tuple(v) for v in graph_report.violations} == {("graph6",)}
+        # one graph6 string per graph with a hit, none for K3
+        assert written == hitting
+
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_fail_fast_stops_only_the_failing_pair(self, monkeypatch, jobs):
         from domlab import verifier
@@ -364,13 +404,13 @@ class TestPerGraphLoop:
         corpus = load_corpus("n5all")[:12]
         k = 7
         target = to_graph6(corpus[k])
-        probe = verifier._Suite(
-            "test-statement",
-            lambda p: None,
-            lambda g, p, options: ([{"graph6": target, "detail": "probe"}]
-                                   if to_graph6(g) == target else []),
-            per_edge=False,
-        )
+
+        def hits_target(g, p, options):
+            if to_graph6(g) == target:
+                yield {"detail": "probe"}
+
+        probe = verifier._Suite("test-statement", lambda p: None, hits_target,
+                                per_edge=False)
         monkeypatch.setitem(SUITES, "TEST-probe", probe)
         opt = VerifyOptions(fail_fast=True, jobs=jobs)
         alone = run_suites(["T3-equiv"], [ANY_GRAPH], corpus, opt)
