@@ -104,7 +104,8 @@ class Graph:
         return f"Graph(n={self.n}, m={self.edge_count()}{tag})"
 
 
-def _check_vertex(g: Graph, v: int) -> None:
+def check_vertex(g: Graph, v: int) -> None:
+    """ValueError unless v is a vertex of g."""
     if not (0 <= v < g.n):
         raise ValueError(f"vertex {v} out of range for n={g.n}")
 
@@ -112,8 +113,8 @@ def _check_vertex(g: Graph, v: int) -> None:
 def check_edge(g: Graph, e: Edge) -> Edge:
     """e as (u, v) with u < v; ValueError unless it is an edge of g."""
     u, v = e
-    _check_vertex(g, u)
-    _check_vertex(g, v)
+    check_vertex(g, u)
+    check_vertex(g, v)
     if u == v:
         raise ValueError(f"({u},{v}) is a self-loop, not an edge")
     if not g.has_edge(u, v):
@@ -122,17 +123,17 @@ def check_edge(g: Graph, e: Edge) -> Edge:
 
 
 def open_neighborhood(g: Graph, v: int) -> VertexSet:
-    _check_vertex(g, v)
+    check_vertex(g, v)
     return g.adj[v]
 
 
 def closed_neighborhood(g: Graph, v: int) -> VertexSet:
-    _check_vertex(g, v)
+    check_vertex(g, v)
     return g.adj[v] | (1 << v)
 
 
 def degree(g: Graph, v: int) -> int:
-    _check_vertex(g, v)
+    check_vertex(g, v)
     return g.adj[v].bit_count()
 
 
@@ -148,8 +149,8 @@ def delete_edge(g: Graph, e: Edge) -> Graph:
 def add_edge(g: Graph, e: Edge) -> Graph:
     """Inverse of delete_edge; rejects self-loops and existing edges."""
     u, v = e
-    _check_vertex(g, u)
-    _check_vertex(g, v)
+    check_vertex(g, u)
+    check_vertex(g, v)
     if u == v:
         raise ValueError(f"({u},{v}) is a self-loop")
     if g.has_edge(u, v):
@@ -167,7 +168,7 @@ def delete_vertex(g: Graph, v: int) -> tuple[Graph, tuple[int, ...]]:
     Returns (graph, kept) where kept[new_id] = old_id; for w != v the new id
     of w is w - 1 if w > v else w.
     """
-    _check_vertex(g, v)
+    check_vertex(g, v)
     kept = tuple(w for w in range(g.n) if w != v)
     low = (1 << v) - 1
     rows = []
@@ -200,7 +201,7 @@ def subdivide_edge(g: Graph, e: Edge, t: int) -> Graph:
 
 def private_neighbors(g: Graph, x: int, X: VertexSet) -> VertexSet:
     """Vertices y (x itself allowed) whose closed neighborhood meets X in exactly {x}."""
-    _check_vertex(g, x)
+    check_vertex(g, x)
     xbit = 1 << x
     if not X & xbit:
         raise ValueError(f"vertex {x} is not a member of the given set")

@@ -204,7 +204,8 @@ class AuditReport:
         return not self.claim_violations
 
 
-# one entry per (property, class), bounded as the gamma memo is
+# one entry per (property, class); unlike the gamma memo's, these entries
+# serve later graphs too, whose deletion closures reach the same classes
 @functools.lru_cache(maxsize=1 << 17)
 def _induced_failure(p: PropertyDescriptor, key: tuple[int, ...]) -> str | None:
     """For the class with canonical adjacency `key`, which has p: the first

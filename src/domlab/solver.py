@@ -12,7 +12,9 @@ takes one of three forms, chosen by the property:
 * I, O, F, UK, D:k branch on the closed neighborhood of the undominated
   vertex with the fewest candidate dominators. Their predicates are
   induced-hereditary, so a partial set that already lacks the property is
-  pruned (sound: induced subgraphs of supersets contain it).
+  pruned (sound: induced subgraphs of supersets contain it). Every branch
+  adds one vertex u to a set S that has p, so the prune asks only whether
+  S + u has p too, from u's neighbours in S (extends).
 * T runs the same search over open neighborhoods: a set whose open
   neighborhoods cover every vertex dominates and has no isolated vertex.
 * C branches its root the same way, then grows the set along its frontier
@@ -36,7 +38,9 @@ Conventions: gamma of the empty graph is 0 with witness {} for properties
 that accept the empty set, undefined otherwise. Witnesses and enumeration
 order are lexicographic on sorted member tuples, lowest vertex id first.
 Values and minimum-set lists are memoized per (graph, property); results
-are identical to cold runs.
+are identical to cold runs. The value memo holds 16 * MEMO_SIZE = 4,096
+entries, more than one graph's verify task asks for: later graphs reuse
+almost none of them, so a larger bound would only grow each process.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ from functools import lru_cache
 
 from .bitset import VertexSet, bitmask, iter_bits
 from .errors import OracleCapError, UndefinedGammaError
-from .graph import MEMO_SIZE, Graph, components_within, delete_vertex
+from .graph import MEMO_SIZE, Graph, check_vertex, components_within, delete_vertex
 from .properties import PropertyDescriptor, holds_induced
 
 ORACLE_MAX_N = 20
@@ -75,6 +79,64 @@ def is_dominating(g: Graph, S: VertexSet) -> bool:
     return cover == g.vertex_mask
 
 
+def _extends_edgeless(p, adj, S, u):
+    return adj[u] & S == 0
+
+
+def _extends_max_degree(p, adj, S, u):
+    # u gets its neighbours in S, and each of them gets u
+    nb = adj[u] & S
+    if nb.bit_count() > p.k:
+        return False
+    while nb:
+        low = nb & -nb
+        if (adj[low.bit_length() - 1] & S).bit_count() >= p.k:
+            return False
+        nb ^= low
+    return True
+
+
+def _extends_clique_components(p, adj, S, u):
+    # u joins a clique component only if it is adjacent to all of it and to
+    # nothing else; the component of a vertex w of S is w plus adj[w] & S
+    nb = adj[u] & S
+    if not nb:
+        return True
+    w = nb & -nb
+    return nb == (adj[w.bit_length() - 1] & S) | w
+
+
+def _extends_forest(p, adj, S, u):
+    # u closes a cycle exactly when two of its neighbours share a tree of S
+    nb = adj[u] & S
+    while nb & (nb - 1):
+        low = nb & -nb
+        tree = frontier = low
+        while frontier:
+            b = frontier & -frontier
+            frontier ^= b
+            grow = adj[b.bit_length() - 1] & S & ~tree
+            tree |= grow
+            frontier |= grow
+        if nb & tree != low:
+            return False
+        nb ^= low
+    return True
+
+
+# extends(p, adj, S, u) by property id: given that S has p, does S + u? Each
+# equals holds_induced(p, g, S | 1 << u) but reads only u's neighbours in S
+# (for F, their trees). I needs no test; _Search falls back to holds_induced
+# itself for an id missing here.
+_EXTENDS = {
+    "I": None,
+    "O": _extends_edgeless,
+    "D": _extends_max_degree,
+    "UK": _extends_clique_components,
+    "F": _extends_forest,
+}
+
+
 class _Search:
     """Depth-limited dominating-set search over one (graph, property) pair.
 
@@ -87,13 +149,18 @@ class _Search:
         self.g = g
         self.p = p
         self.full = g.vertex_mask
-        self.closed = tuple(g.adj[v] | (1 << v) for v in range(g.n))
-        self.max_closed = max((c.bit_count() for c in self.closed), default=1)
-        # a dominating set without isolated vertices is a total dominating
-        # set: every vertex, chosen ones included, needs a chosen neighbor
-        self.prune = p.id != "T"
-        self.rows = self.closed if self.prune else g.adj
-        self.max_row = max((r.bit_count() for r in self.rows), default=1)
+        adj = g.adj
+        self.closed = tuple([adj[v] | 1 << v for v in range(g.n)])
+        self.max_closed = max(map(int.bit_count, self.closed), default=1)
+        if p.id == "T":
+            # a dominating set without isolated vertices is a total dominating
+            # set: every vertex, chosen ones included, needs a chosen neighbor
+            self.rows, self.max_row = adj, max(map(int.bit_count, adj), default=1)
+            self.extends = None
+        else:
+            self.rows, self.max_row = self.closed, self.max_closed
+            self.extends = (_EXTENDS[p.id] if p.id in _EXTENDS else
+                            lambda p, adj, S, u: holds_induced(p, g, S | 1 << u))
 
     def find(self, budget: int, start_set: VertexSet = 0,
              allowed: VertexSet | None = None) -> VertexSet | None:
@@ -105,21 +172,24 @@ class _Search:
             cover |= self.rows[v]
         if self.p.id == "C":
             return self._connected(start_set, cover, 0, budget)
-        if self.prune and not holds_induced(self.p, self.g, start_set):
+        # the empty set has every pruned property
+        if start_set and self.extends and not holds_induced(self.p, self.g, start_set):
             return None
         self._best_budget: dict[int, int] = {}
         return self._cover(start_set, cover, budget)
 
     def _fewest_candidates(self, uncovered, avail):
         # the candidates of the uncovered vertex that has the fewest of them
-        best, fanout = 0, self.g.n + 1
-        for v in iter_bits(uncovered):
-            cand = self.rows[v] & avail
+        rows, best, fanout = self.rows, 0, self.g.n + 1
+        while uncovered:
+            low = uncovered & -uncovered
+            cand = rows[low.bit_length() - 1] & avail
             size = cand.bit_count()
             if size < fanout:
                 best, fanout = cand, size
                 if size <= 1:
                     break
+            uncovered ^= low
         return best
 
     def _cover(self, S, cover, budget):
@@ -134,14 +204,30 @@ class _Search:
         uncovered = self.full & ~cover
         if uncovered.bit_count() > budget * self.max_row:
             return None
-        for u in iter_bits(self._fewest_candidates(uncovered, self.allowed)):
-            S2 = S | (1 << u)
-            if self.prune and not holds_induced(self.p, self.g, S2):
+        extends, p, adj, rows = self.extends, self.p, self.g.adj, self.rows
+        cand = self._fewest_candidates(uncovered, self.allowed)
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            u = low.bit_length() - 1
+            if extends and not extends(p, adj, S, u):
                 continue
-            hit = self._cover(S2, cover | self.rows[u], budget - 1)
+            hit = self._cover(S | low, cover | rows[u], budget - 1)
             if hit is not None:
                 return hit
         return None
+
+    def minimum_sets(self, prefix, low, remaining):
+        """Every dominating p-set of prefix plus `remaining` vertices >= low,
+        in lexicographic order; a set s1 < ... < sk is reached only along
+        s1, s2, ..., so exactly once."""
+        if remaining == 0:
+            yield prefix
+            return
+        for u in range(low, self.g.n - remaining + 1):
+            above = self.full & ~((2 << u) - 1)
+            if self.find(remaining - 1, prefix | (1 << u), above) is not None:
+                yield from self.minimum_sets(prefix | (1 << u), u + 1, remaining - 1)
 
     def _connected(self, S, dom, excluded, budget):
         # a branch excludes the options tried before it, so every connected
@@ -186,7 +272,10 @@ class _Search:
         return False
 
 
-@lru_cache(maxsize=1 << 17)
+# Sized to one graph's working set, since a later graph reuses almost
+# nothing: one per-graph verify task on n7c (15 suites x I,O,F,UK,D:1) asks
+# at most 325 distinct (graph, property) values, for Flknw.
+@lru_cache(maxsize=16 * MEMO_SIZE)
 def _gamma_value(g: Graph, p: PropertyDescriptor) -> int | None:
     if g.n == 0:
         return 0 if holds_induced(p, g, 0) else None
@@ -204,20 +293,8 @@ def gamma_value(g: Graph, p: PropertyDescriptor) -> int | None:
 
 
 def _minimum_sets(g: Graph, p: PropertyDescriptor, value: int):
-    """Every dominating p-set of size value = gamma, in lexicographic order;
-    a set s1 < ... < sk is reached only along s1, s2, ..., so exactly once."""
-    search = _Search(g, p)
-
-    def walk(prefix, low, remaining):
-        if remaining == 0:
-            yield prefix
-            return
-        for u in range(low, g.n - remaining + 1):
-            above = g.vertex_mask & ~((2 << u) - 1)
-            if search.find(remaining - 1, prefix | (1 << u), above) is not None:
-                yield from walk(prefix | (1 << u), u + 1, remaining - 1)
-
-    return walk(0, 0, value)
+    """Every dominating p-set of size value = gamma, in lexicographic order."""
+    return _Search(g, p).minimum_sets(0, 0, value)
 
 
 def gamma(g: Graph, p: PropertyDescriptor) -> GammaResult:
@@ -265,8 +342,7 @@ def in_some_minimum_set(g: Graph, p: PropertyDescriptor, v: int) -> bool:
     Solved by forcing v into the set and asking for the same total size, not
     by enumerating all minimum sets.
     """
-    if not 0 <= v < g.n:
-        raise ValueError(f"vertex {v} out of range for n={g.n}")
+    check_vertex(g, v)
     return _Search(g, p).find(_defined_gamma(g, p) - 1, start_set=1 << v) is not None
 
 

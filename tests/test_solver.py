@@ -1,5 +1,7 @@
 """Solver against frozen oracle values and cross-validation invariants."""
 
+import gc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +16,7 @@ from domlab import (
     NO_ISOLATED,
     Graph,
     OracleCapError,
+    PropertyDescriptor,
     UndefinedGammaError,
     all_minimum_sets,
     bitmask,
@@ -36,6 +39,7 @@ from domlab import (
     translate_set,
     v_minus_set,
 )
+from domlab import solver
 from domlab.corpus import load_corpus
 
 from test_graph import small_graphs
@@ -87,6 +91,46 @@ class TestGamma:
     def test_witness_is_lex_least(self):
         # C4 has six minimum dominating sets; {0,1} is lexicographically first
         assert gamma(cycle(4), ANY_GRAPH).witness == bitmask([0, 1])
+
+
+class TestIncrementalPrune:
+    def test_extends_equals_holds_induced_on_the_larger_set(self):
+        # the search adds one vertex u to a set S that has p; its test of
+        # S + u must read exactly what holds_induced reads
+        cases = 0
+        for p in (EDGELESS, max_degree(0), max_degree(1), max_degree(2),
+                  FOREST, CLIQUE_COMPONENTS):
+            for g in load_corpus("n6all"):
+                extends = solver._Search(g, p).extends
+                for S in range(1 << g.n):
+                    if not holds_induced(p, g, S):
+                        continue
+                    for u in range(g.n):
+                        if not S >> u & 1:
+                            assert extends(p, g.adj, S, u) == holds_induced(
+                                p, g, S | 1 << u), (g.label, p.key, S, u)
+                            cases += 1
+        assert cases == 135_410
+
+    def test_unknown_property_id_raises(self):
+        with pytest.raises(ValueError, match="unknown property id"):
+            gamma_value(path(3), PropertyDescriptor("X", "unknown"))
+
+    def test_minimum_sets_leave_no_search_behind(self):
+        # the walk over minimum sets holds its search without a reference
+        # cycle, so the search is freed without the cyclic collector
+        def searches():
+            return sum(isinstance(o, solver._Search) for o in gc.get_objects())
+
+        gc.collect()
+        gc.disable()
+        try:
+            before = searches()
+            for _ in range(5):
+                assert len(list(solver._minimum_sets(cycle(4), ANY_GRAPH, 2))) == 6
+            assert searches() == before
+        finally:
+            gc.enable()
 
 
 class TestGammaOracle:
@@ -219,6 +263,14 @@ class TestSolverOracleAgreement:
                 fast, slow = gamma(g, p), gamma_oracle(g, p)
                 assert fast.value == slow.value, (g.label, p.key)
                 assert fast.witness == slow.witness, (g.label, p.key)
+
+    def test_full_n6_corpus_max_degree_0_and_3(self):
+        # the acceptance criterion covers D:1 and D:2 on n6all
+        for g in load_corpus("n6all"):
+            for p in (max_degree(0), max_degree(3)):
+                fast, slow = gamma(g, p), gamma_oracle(g, p)
+                assert (fast.value, fast.witness) == (slow.value, slow.witness), (
+                    g.label, p.key)
 
     @given(small_graphs(max_n=6))
     @settings(max_examples=40, deadline=None)

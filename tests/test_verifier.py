@@ -206,6 +206,23 @@ def _cold_memos():
         memo.cache_clear()
 
 
+def test_gamma_memo_holds_one_graph_task():
+    # Flknw has the largest set of distinct gamma queries of any n7c graph
+    # under these pairs; the memo must hold all of them, or the task would
+    # silently compute some twice
+    from domlab import parse_graph6, solver
+    from domlab.verifier import _check_graph
+
+    _cold_memos()
+    solver._gamma_value.cache_clear()
+    solver._all_minimum_sets.cache_clear()
+    props = [parse_property(k) for k in "I,O,F,UK,D:1".split(",")]
+    pairs = [(s, p) for s in PER_GRAPH_SUITES for p in props if SUITES[s].scope(p) is None]
+    _check_graph(pairs, VerifyOptions(), parse_graph6("Flknw"))
+    info = solver._gamma_value.cache_info()
+    assert info.hits > 0 and info.misses == info.currsize
+
+
 class TestPerGraphLoop:
     def test_jobs_and_per_pair_runs_agree(self):
         corpus = load_corpus("n5all")
