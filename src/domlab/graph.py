@@ -2,7 +2,9 @@
 
 Vertex ids are dense 0..n-1. `adj[v]` is the open neighborhood of v as a
 bitmask. Graphs are value objects: equality and hashing ignore the `label`
-field, which only carries provenance (e.g. the source graph6 line).
+field, which only carries provenance (e.g. the source graph6 line). The
+hash and `vertex_mask` are computed once, at construction, since every memo
+lookup hashes its graph; unpickling goes through the constructor too.
 
 Edit operations return new graphs. Vertex deletion and induced subgraphs
 compact ids order-preservingly and return the kept-id table alongside, so
@@ -54,14 +56,26 @@ class Graph:
         if len(self.adj) != self.n:
             raise ValueError(f"adjacency has {len(self.adj)} rows for n={self.n}")
         full = (1 << self.n) - 1
-        for v, row in enumerate(self.adj):
+        adj = self.adj
+        for v, row in enumerate(adj):
             if row & ~full:
                 raise ValueError(f"adjacency row {v} references vertices >= n")
             if (row >> v) & 1:
                 raise ValueError(f"self-loop at vertex {v}")
-            for u in iter_bits(row):
-                if not (self.adj[u] >> v) & 1:
+            while row:
+                low = row & -row
+                u = low.bit_length() - 1
+                if not (adj[u] >> v) & 1:
                     raise ValueError(f"asymmetric adjacency between {u} and {v}")
+                row ^= low
+        object.__setattr__(self, "vertex_mask", full)
+        object.__setattr__(self, "_hash", hash((self.n, self.adj)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return type(self), (self.n, self.adj, self.label)
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[Edge], label: str = "") -> "Graph":
@@ -74,10 +88,6 @@ class Graph:
             rows[u] |= 1 << v
             rows[v] |= 1 << u
         return cls(n, tuple(rows), label)
-
-    @property
-    def vertex_mask(self) -> VertexSet:
-        return (1 << self.n) - 1
 
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.adj) // 2

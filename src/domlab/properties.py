@@ -27,7 +27,7 @@ search monotone for the K1-closed properties.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .bitset import VertexSet, iter_bits
 from .canon import canonical_adjacency
@@ -53,6 +53,15 @@ class PropertyDescriptor:
             raise ValueError(f"max-degree bound must be >= 0, got {self.k}")
         if self.hereditary and not self.induced_hereditary:
             raise ValueError("hereditary implies induced-hereditary")
+        # hashed once, as every memo lookup hashes its property; str hashes
+        # differ between processes, so unpickling rebuilds it (__reduce__)
+        object.__setattr__(self, "_hash", hash((self.id, self.k)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
     @property
     def key(self) -> str:

@@ -23,13 +23,15 @@ takes one of three forms, chosen by the property:
   when one of them lies at distance d from S with d - 1 > budget, since it
   needs d - 1 more vertices.
 
-find takes a forced start set and a mask of the vertices it may add. One
-walk over it lists the minimum sets (_minimum_sets): slot by slot it takes
-each u in ascending order for which the members so far plus u, completed
-with vertices above u, still reach the minimum size, and descends. Its
-first set is gamma's witness; all of them are all_minimum_sets. Forced
-members may be disconnected; C then accepts only a dominating superset that
-induces one component.
+find takes a forced start set, given as a set it accepted before plus one
+vertex u, and a mask of the vertices it may add; the prune tests only u
+(extends). One walk over it lists the minimum sets (_minimum_sets): slot by
+slot it takes each u in ascending order for which the members so far plus
+u, completed with vertices above u, still reach the minimum size, and
+descends. Its first set is gamma's witness; all of them are
+all_minimum_sets. in_some_minimum_set forces v alone. Forced members may be
+disconnected; C then accepts only a dominating superset that induces one
+component.
 
 gamma_oracle is the reference the search is tested against: plain subset
 enumeration in increasing cardinality with no pruning, capped at n <= 20.
@@ -40,7 +42,13 @@ order are lexicographic on sorted member tuples, lowest vertex id first.
 Values and minimum-set lists are memoized per (graph, property); results
 are identical to cold runs. The value memo holds 16 * MEMO_SIZE = 4,096
 entries, more than one graph's verify task asks for: later graphs reuse
-almost none of them, so a larger bound would only grow each process.
+almost none of them, so a larger bound would only grow each process. The
+searches are memoized too, MEMO_SIZE of them (_search): one _Search per
+(graph, property) answers its value, its minimum sets and its membership
+queries, which come close together. A search keeps no scratch between
+finds, and the closed neighborhoods it reads are computed once per graph
+for every property (_closed_rows). Graphs and property descriptors hash
+once, at construction, so a memo lookup does not rebuild a key tuple.
 """
 
 from __future__ import annotations
@@ -137,24 +145,33 @@ _EXTENDS = {
 }
 
 
+@lru_cache(maxsize=MEMO_SIZE)
+def _closed_rows(g: Graph) -> tuple[tuple[int, ...], int]:
+    """The closed neighborhoods of g and the largest one's size, shared by
+    the searches of every property on g."""
+    closed = tuple([row | 1 << v for v, row in enumerate(g.adj)])
+    return closed, max(map(int.bit_count, closed), default=1)
+
+
 class _Search:
     """Depth-limited dominating-set search over one (graph, property) pair.
 
     C grows a connected set along its frontier; every other property runs a
     cover search, over open neighborhoods for T and over closed ones with
-    induced-hereditary pruning otherwise.
+    induced-hereditary pruning otherwise. Each find sets `allowed` afresh
+    and keeps its memo local, so nothing carries from one find to the next
+    and one object serves every query on its pair (_search).
     """
 
     def __init__(self, g: Graph, p: PropertyDescriptor):
         self.g = g
         self.p = p
         self.full = g.vertex_mask
-        adj = g.adj
-        self.closed = tuple([adj[v] | 1 << v for v in range(g.n)])
-        self.max_closed = max(map(int.bit_count, self.closed), default=1)
+        self.closed, self.max_closed = _closed_rows(g)
         if p.id == "T":
             # a dominating set without isolated vertices is a total dominating
             # set: every vertex, chosen ones included, needs a chosen neighbor
+            adj = g.adj
             self.rows, self.max_row = adj, max(map(int.bit_count, adj), default=1)
             self.extends = None
         else:
@@ -162,21 +179,27 @@ class _Search:
             self.extends = (_EXTENDS[p.id] if p.id in _EXTENDS else
                             lambda p, adj, S, u: holds_induced(p, g, S | 1 << u))
 
-    def find(self, budget: int, start_set: VertexSet = 0,
+    def find(self, budget: int, base: VertexSet = 0, u: int | None = None,
              allowed: VertexSet | None = None) -> VertexSet | None:
-        """Any dominating p-set containing start_set plus <= budget more
-        vertices, each added vertex taken from allowed (default: all)."""
+        """Any dominating p-set containing base, u (if given) and <= budget
+        more vertices, each taken from allowed (default: all).
+
+        base is empty or a start set an earlier find accepted, so for the
+        pruned properties it has p (the empty set has every one of them), and
+        only u needs the prune's test.
+        """
+        start = base if u is None else base | 1 << u
         self.allowed = self.full if allowed is None else allowed
-        cover = 0
-        for v in iter_bits(start_set):
-            cover |= self.rows[v]
+        rows, cover, rest = self.rows, 0, start
+        while rest:
+            low = rest & -rest
+            cover |= rows[low.bit_length() - 1]
+            rest ^= low
         if self.p.id == "C":
-            return self._connected(start_set, cover, 0, budget)
-        # the empty set has every pruned property
-        if start_set and self.extends and not holds_induced(self.p, self.g, start_set):
+            return self._connected(start, cover, 0, budget)
+        if u is not None and self.extends and not self.extends(self.p, self.g.adj, base, u):
             return None
-        self._best_budget: dict[int, int] = {}
-        return self._cover(start_set, cover, budget)
+        return self._cover(start, cover, budget, {})
 
     def _fewest_candidates(self, uncovered, avail):
         # the candidates of the uncovered vertex that has the fewest of them
@@ -192,15 +215,16 @@ class _Search:
             uncovered ^= low
         return best
 
-    def _cover(self, S, cover, budget):
+    def _cover(self, S, cover, budget, best_budget):
+        # best_budget: the largest budget each set S failed with in this find
         if cover == self.full:
             return S
         if budget <= 0:
             return None
-        seen = self._best_budget.get(S)
+        seen = best_budget.get(S)
         if seen is not None and seen >= budget:
             return None
-        self._best_budget[S] = budget
+        best_budget[S] = budget
         uncovered = self.full & ~cover
         if uncovered.bit_count() > budget * self.max_row:
             return None
@@ -212,7 +236,7 @@ class _Search:
             u = low.bit_length() - 1
             if extends and not extends(p, adj, S, u):
                 continue
-            hit = self._cover(S | low, cover | rows[u], budget - 1)
+            hit = self._cover(S | low, cover | rows[u], budget - 1, best_budget)
             if hit is not None:
                 return hit
         return None
@@ -226,7 +250,7 @@ class _Search:
             return
         for u in range(low, self.g.n - remaining + 1):
             above = self.full & ~((2 << u) - 1)
-            if self.find(remaining - 1, prefix | (1 << u), above) is not None:
+            if self.find(remaining - 1, prefix, u, above) is not None:
                 yield from self.minimum_sets(prefix | (1 << u), u + 1, remaining - 1)
 
     def _connected(self, S, dom, excluded, budget):
@@ -272,6 +296,12 @@ class _Search:
         return False
 
 
+# One search per (graph, property), for its value, its minimum sets and its
+# membership queries; they come close together, so MEMO_SIZE searches are
+# enough.
+_search = lru_cache(maxsize=MEMO_SIZE)(_Search)
+
+
 # Sized to one graph's working set, since a later graph reuses almost
 # nothing: one per-graph verify task on n7c (15 suites x I,O,F,UK,D:1) asks
 # at most 325 distinct (graph, property) values, for Flknw.
@@ -279,7 +309,7 @@ class _Search:
 def _gamma_value(g: Graph, p: PropertyDescriptor) -> int | None:
     if g.n == 0:
         return 0 if holds_induced(p, g, 0) else None
-    search = _Search(g, p)
+    search = _search(g, p)
     floor = max(1, -(-g.n // search.max_closed))
     for k in range(floor, g.n + 1):
         if search.find(k) is not None:
@@ -294,7 +324,7 @@ def gamma_value(g: Graph, p: PropertyDescriptor) -> int | None:
 
 def _minimum_sets(g: Graph, p: PropertyDescriptor, value: int):
     """Every dominating p-set of size value = gamma, in lexicographic order."""
-    return _Search(g, p).minimum_sets(0, 0, value)
+    return _search(g, p).minimum_sets(0, 0, value)
 
 
 def gamma(g: Graph, p: PropertyDescriptor) -> GammaResult:
@@ -343,7 +373,7 @@ def in_some_minimum_set(g: Graph, p: PropertyDescriptor, v: int) -> bool:
     by enumerating all minimum sets.
     """
     check_vertex(g, v)
-    return _Search(g, p).find(_defined_gamma(g, p) - 1, start_set=1 << v) is not None
+    return _search(g, p).find(_defined_gamma(g, p) - 1, u=v) is not None
 
 
 def v_minus_set(g: Graph, p: PropertyDescriptor) -> VertexSet:

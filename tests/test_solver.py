@@ -1,6 +1,8 @@
 """Solver against frozen oracle values and cross-validation invariants."""
 
 import gc
+import itertools
+import multiprocessing
 
 import pytest
 from hypothesis import given, settings
@@ -18,23 +20,28 @@ from domlab import (
     OracleCapError,
     PropertyDescriptor,
     UndefinedGammaError,
+    add_edge,
     all_minimum_sets,
     bitmask,
     complete,
     complete_multipartite,
     cycle,
+    delete_edge,
     delete_vertex,
     gamma,
     gamma_oracle,
     gamma_value,
     holds_induced,
     in_some_minimum_set,
+    induced_subgraph,
     is_dominating,
     max_degree,
     members,
+    parse_property,
     path,
     private_neighbors,
     star,
+    subdivide_edge,
     three_stars_triangle,
     translate_set,
     v_minus_set,
@@ -47,6 +54,12 @@ from test_graph import small_graphs
 TWO_K2 = Graph.from_edges(4, [(0, 1), (2, 3)])
 ALL_PROPS = [ANY_GRAPH, EDGELESS, CONNECTED, NO_ISOLATED, FOREST,
              CLIQUE_COMPONENTS, max_degree(1), max_degree(2)]
+
+
+def clear_solver_memos():
+    for memo in (solver._gamma_value, solver._all_minimum_sets, solver._search,
+                 solver._closed_rows):
+        memo.cache_clear()
 
 
 class TestIsDominating:
@@ -116,21 +129,112 @@ class TestIncrementalPrune:
         with pytest.raises(ValueError, match="unknown property id"):
             gamma_value(path(3), PropertyDescriptor("X", "unknown"))
 
+    def test_forced_prefix_is_tested_through_extends(self, monkeypatch):
+        # minimum_sets and in_some_minimum_set force a start set one vertex
+        # larger than a set find accepted before; find tests that vertex
+        # alone, never the whole set
+        calls = []
+        real = solver.holds_induced
+        monkeypatch.setattr(solver, "holds_induced",
+                            lambda *args: calls.append(args) or real(*args))
+        graphs = [g for g in load_corpus("n6all") if g.n]
+        clear_solver_memos()
+        for p in (ANY_GRAPH, EDGELESS, FOREST, CLIQUE_COMPONENTS, max_degree(1),
+                  max_degree(2)):
+            for g in graphs:
+                sets = all_minimum_sets(g, p)
+                assert [in_some_minimum_set(g, p, v) for v in range(g.n)] == [
+                    any(S >> v & 1 for S in sets) for v in range(g.n)]
+        assert calls == []
+
     def test_minimum_sets_leave_no_search_behind(self):
         # the walk over minimum sets holds its search without a reference
-        # cycle, so the search is freed without the cyclic collector
+        # cycle, so once the search memo lets go of it, the search is freed
+        # without the cyclic collector
         def searches():
             return sum(isinstance(o, solver._Search) for o in gc.get_objects())
 
         gc.collect()
         gc.disable()
         try:
+            solver._search.cache_clear()
             before = searches()
             for _ in range(5):
                 assert len(list(solver._minimum_sets(cycle(4), ANY_GRAPH, 2))) == 6
+            solver._search.cache_clear()
             assert searches() == before
         finally:
             gc.enable()
+
+    def test_reused_search_carries_no_state(self):
+        # one search serves every query on its (graph, property): a walk over
+        # the minimum sets suspended between sets (as gamma leaves it), the
+        # membership of every vertex, which recomputes gamma on the same
+        # search after the value memo is emptied, and misses on the
+        # vertex-deleted graphs, which build other searches. Each answer
+        # must equal one computed with every memo empty.
+        graphs = [g for g in load_corpus("n6all") if g.n]
+        for p in ALL_PROPS:
+            clear_solver_memos()
+            warm = []
+            for g in graphs:
+                value = gamma_value(g, p)
+                if value is None:
+                    warm.append(None)
+                    continue
+                search = solver._search(g, p)
+                walk = solver._minimum_sets(g, p, value)
+                sets, inside, smaller = [next(walk)], [], []
+                for v in range(g.n):
+                    solver._gamma_value.cache_clear()
+                    inside.append(in_some_minimum_set(g, p, v))
+                    smaller.append(gamma_value(delete_vertex(g, v)[0], p))
+                    sets.extend(itertools.islice(walk, 1))
+                sets.extend(walk)
+                assert solver._search(g, p) is search
+                warm.append((value, sets, inside, smaller))
+            cold = []
+            for g in graphs:
+                clear_solver_memos()
+                value = gamma_value(g, p)
+                if value is None:
+                    cold.append(None)
+                    continue
+                sets = list(solver._minimum_sets(g, p, value))
+                smaller = []
+                for v in range(g.n):
+                    clear_solver_memos()
+                    smaller.append(gamma_value(delete_vertex(g, v)[0], p))
+                inside = [any(S >> v & 1 for S in sets) for v in range(g.n)]
+                cold.append((value, sets, inside, smaller))
+            assert warm == cold, p.key
+
+
+def _memo_keys(keys):
+    """Fresh property descriptors for the given keys, then P5 and one graph
+    from each edit of it."""
+    g = path(5)
+    return [*map(parse_property, keys), g, g.relabel("P5"), delete_edge(g, (1, 2)),
+            add_edge(g, (0, 4)), delete_vertex(g, 2)[0], subdivide_edge(g, (3, 4), 2),
+            induced_subgraph(g, 0b10110)[0]]
+
+
+def _misses_in_fresh_process(received):
+    """The positions where an object pickled into this process is not equal
+    to, hashed like, and a dict hit for its fresh counterpart."""
+    fresh = _memo_keys([x.key for x in received if isinstance(x, PropertyDescriptor)])
+    return [i for i, (a, b) in enumerate(zip(received, fresh, strict=True))
+            if not (a == b and hash(a) == hash(b) and {b: i}.get(a) == i)]
+
+
+class TestMemoKeys:
+    def test_hashes_survive_pickling_into_a_spawned_process(self):
+        # str hashes are salted per process, so a descriptor's cached hash
+        # must be recomputed on arrival; a spawned process has its own salt
+        keys = [p.key for p in ALL_PROPS] + ["D:0", "D:3"]
+        with multiprocessing.get_context("spawn").Pool(1) as pool:
+            result = pool.apply_async(_misses_in_fresh_process, (_memo_keys(keys),))
+            assert result.get(timeout=120) == []
 
 
 class TestGammaOracle:

@@ -223,6 +223,38 @@ def test_gamma_memo_holds_one_graph_task():
     assert info.hits > 0 and info.misses == info.currsize
 
 
+def test_search_memo_builds_one_search_per_value(monkeypatch):
+    # every search serves a (graph, property) whose gamma was a miss; it is
+    # built again only after the search memo evicted it. A cached search
+    # holds no per-find scratch, so the memo stays small.
+    import gc
+
+    from domlab import parse_graph6, solver
+    from domlab.verifier import _check_graph
+    from test_solver import clear_solver_memos
+
+    built = []
+    real_init = solver._Search.__init__
+
+    def counting_init(self, g, p):
+        built.append((g, p))
+        real_init(self, g, p)
+
+    monkeypatch.setattr(solver._Search, "__init__", counting_init)
+    _cold_memos()
+    clear_solver_memos()
+    props = [parse_property(k) for k in "I,O,F,UK,D:1".split(",")]
+    pairs = [(s, p) for s in PER_GRAPH_SUITES for p in props if SUITES[s].scope(p) is None]
+    _check_graph(pairs, VerifyOptions(), parse_graph6("Flknw"))
+    misses = solver._gamma_value.cache_info().misses
+    searches = solver._search.cache_info()
+    evictions = searches.misses - searches.currsize
+    assert 0 < len(built) <= misses + evictions
+    cached = [o for o in gc.get_objects() if isinstance(o, solver._Search)]
+    assert len(cached) >= searches.currsize > 0
+    assert not any(isinstance(v, dict) for s in cached for v in vars(s).values())
+
+
 class TestPerGraphLoop:
     def test_jobs_and_per_pair_runs_agree(self):
         corpus = load_corpus("n5all")
