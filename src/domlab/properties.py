@@ -10,6 +10,8 @@ Each property is a predicate on graphs plus four metadata flags:
 The flags are hard-coded (they gate which verification suites apply and
 must be deterministic); `audit_flags` is the empirical cross-check that
 hunts for counterexamples to each flag's defining implication on a corpus.
+It tests all four flags, claimed or not; the verifier's FLAG-audit suite
+asks `flag_violations` only for the flags a property claims.
 It is exact on the corpus: every predicate here is invariant under
 isomorphism, so a graph has a subgraph (an induced subgraph) lacking the
 property exactly when one edge or vertex deletion (one vertex deletion)
@@ -179,7 +181,7 @@ def holds_induced(p: PropertyDescriptor, g: Graph, S: VertexSet) -> bool:
 CATALOG = (ANY_GRAPH, EDGELESS, CONNECTED, NO_ISOLATED, FOREST,
            CLIQUE_COMPONENTS, max_degree(1))
 
-_FLAGS = ("hereditary", "induced_hereditary", "closed_union_K1", "nondegenerate")
+FLAGS = ("hereditary", "induced_hereditary", "closed_union_K1", "nondegenerate")
 
 
 @dataclass
@@ -257,9 +259,10 @@ def _witness(parent: Graph, deleted: str, child: Graph) -> str:
             f"gives {formats.to_graph6(child)} (lacks it)")
 
 
-def flag_violations(p: PropertyDescriptor, g: Graph) -> list[tuple[str, str]]:
-    """(flag, detail) for each flag, claimed or not, whose defining
-    implication fails on g.
+def flag_violations(p: PropertyDescriptor, g: Graph,
+                    flags: tuple[str, ...] = FLAGS) -> list[tuple[str, str]]:
+    """(flag, detail) for each flag in `flags`, claimed or not, whose
+    defining implication fails on g; the flags not asked for are not tested.
 
     nondegenerate and closed_union_K1 are tested on g itself. If g has p,
     hereditary (induced_hereditary) fails exactly when some chain of edge or
@@ -267,26 +270,32 @@ def flag_violations(p: PropertyDescriptor, g: Graph) -> list[tuple[str, str]]:
     have p to one that lacks it; the chain's first failing link is the
     detail. The walk tests the vertex-deleted (then the edge-deleted)
     children of a class before it descends into them, and memoises each
-    class by p and canonical form. An entry depends only on holds_induced,
-    which reads p's id and k, the fields descriptor equality compares; the
-    claimed flags filter only afterwards.
+    class by p and canonical form; g's canonical form is computed only when
+    one of those two flags is asked. An entry depends only on holds_induced,
+    which reads p's id and k, the fields descriptor equality compares, so a
+    descriptor that claims more flags shares the entries of one that claims
+    fewer.
     """
     if not holds(p, g):
         return ([("nondegenerate", "edgeless graph lacks the property")]
-                if g.edge_count() == 0 else [])
+                if "nondegenerate" in flags and g.edge_count() == 0 else [])
     out = []
-    if not holds(p, Graph(g.n + 1, g.adj + (0,))):  # g plus an isolated vertex
+    # g plus an isolated vertex
+    if "closed_union_K1" in flags and not holds(p, Graph(g.n + 1, g.adj + (0,))):
         out.append(("closed_union_K1", "fails after adding an isolated vertex"))
-    key = canonical_adjacency(g.adj, g.vertex_mask)
-    hits = (("induced_hereditary", _induced_failure(p, key)),
-            ("hereditary", _spanning_failure(p, key)))
-    return out + [(flag, hit) for flag, hit in hits if hit]
+    walks = [(flag, walk) for flag, walk in (("induced_hereditary", _induced_failure),
+                                             ("hereditary", _spanning_failure))
+             if flag in flags]
+    if walks:
+        key = canonical_adjacency(g.adj, g.vertex_mask)
+        out += [(flag, hit) for flag, walk in walks if (hit := walk(p, key))]
+    return out
 
 
 def audit_flags(p: PropertyDescriptor, corpus) -> AuditReport:
     """Test each flag's defining implication on every corpus graph
     (flag_violations); the memos serve every later audit too."""
-    violations: dict[str, list[tuple[str, str]]] = {flag: [] for flag in _FLAGS}
+    violations: dict[str, list[tuple[str, str]]] = {flag: [] for flag in FLAGS}
     graphs = list(corpus)
     for g in graphs:
         for flag, detail in flag_violations(p, g):

@@ -53,7 +53,6 @@ from __future__ import annotations
 
 import functools
 import json
-import multiprocessing
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
@@ -73,7 +72,13 @@ from .graph import (
     translate_set,
 )
 from .multisubdivision import MsdMarker, check_multi1, check_multi4, msd_graph
-from .properties import PropertyDescriptor, flag_violations, holds_induced, out_of_scope
+from .properties import (
+    FLAGS,
+    PropertyDescriptor,
+    flag_violations,
+    holds_induced,
+    out_of_scope,
+)
 from .solver import (
     all_minimum_sets,
     gamma,
@@ -228,7 +233,7 @@ def _check_ta_vertex(g: Graph, p: PropertyDescriptor, options: VerifyOptions):
         if reduced is None:
             yield dict(vertex=v, detail="gamma undefined after vertex deletion")
             continue
-        if not in_some_minimum_set(g, p, v) and reduced != base:
+        if reduced != base and not in_some_minimum_set(g, p, v):
             yield dict(vertex=v, gamma=base, gamma_deleted=reduced,
                        detail="vertex in no minimum set changed gamma")
         if reduced < base:
@@ -302,9 +307,9 @@ def _check_oracle_equiv(g: Graph, p: PropertyDescriptor, options: VerifyOptions)
 
 
 def _check_flag_audit(g: Graph, p: PropertyDescriptor, options: VerifyOptions):
-    for flag, detail in sorted(flag_violations(p, g)):
-        if getattr(p, flag):
-            yield dict(flag=flag, detail=detail)
+    claimed = tuple(flag for flag in FLAGS if getattr(p, flag))
+    for flag, detail in sorted(flag_violations(p, g, claimed)):
+        yield dict(flag=flag, detail=detail)
 
 
 @dataclass(frozen=True)
@@ -397,7 +402,10 @@ def _walk(pairs, options: VerifyOptions, graphs: list[Graph]):
     hits, checked, seconds = [[] for _ in pairs], [0] * len(pairs), [0.0] * len(pairs)
     check = functools.partial(_check_graph, tuple(pairs), options)
     workers = min(options.jobs, len(graphs)) if pairs else 1
-    pool = multiprocessing.Pool(workers) if workers > 1 else None
+    pool = None
+    if workers > 1:
+        import multiprocessing  # only a pool needs it; a serial run skips its import
+        pool = multiprocessing.Pool(workers)
     try:
         outcomes = pool.imap(check, graphs, chunksize=4) if pool else map(check, graphs)
         open_pairs = range(len(pairs))

@@ -39,6 +39,7 @@ from domlab import (
     to_graph6,
 )
 from domlab.corpus import load_corpus
+from domlab.properties import FLAGS, flag_violations
 from domlab.solver import is_dominating
 
 DISJOINT_K3_K2 = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (3, 4)])
@@ -213,6 +214,11 @@ OVERCLAIMED = [
     (overclaimed(CLIQUE_COMPONENTS, hereditary=True), complete(3), "hereditary"),
     (overclaimed(CONNECTED, induced_hereditary=True), cycle(5), "induced_hereditary"),
 ]
+# connected, claimed to have every flag: C5 and P3 have it, and each loses it
+# with an isolated vertex added, after an edge deletion and after a vertex
+# deletion
+OVERCLAIMED_CONNECTED = overclaimed(CONNECTED, hereditary=True, induced_hereditary=True,
+                                    closed_union_K1=True, nondegenerate=True)
 
 
 def _holds_induced_or_multipartite(original):
@@ -340,6 +346,23 @@ class TestAuditFlags:
         got = {q.name: audit_flags(q, [g]).claim_violations for q in order}
         assert list(got[p.name]) == [flag]
         assert got[CLIQUE_COMPONENTS.name] == {}
+
+    @pytest.mark.parametrize(
+        "p", list(CATALOG) + [max_degree(2)] + [p for p, _, _ in OVERCLAIMED]
+        + [OVERCLAIMED_CONNECTED],
+        ids=[p.key for p in CATALOG] + ["D:2", "UK-K3", "C-C5", "C-all"])
+    def test_asked_flags_equal_the_full_result_filtered(self, cold_failure_memos, p, n6):
+        # each graph's subsets run before its full call, singletons first,
+        # so hereditary alone enters each class the corpus reaches first
+        # before the induced walk has memoised it
+        subsets = [flags for r in range(len(FLAGS) + 1)
+                   for flags in itertools.combinations(FLAGS, r)]
+        for g in n6:
+            got = {flags: flag_violations(p, g, flags) for flags in subsets}
+            full = flag_violations(p, g)
+            assert got[FLAGS] == full
+            for flags, hits in got.items():
+                assert hits == [(f, d) for f, d in full if f in flags], (to_graph6(g), flags)
 
     def test_vertex_deletions_two_deep(self):
         p, g, _ = OVERCLAIMED[1]

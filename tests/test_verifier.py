@@ -44,6 +44,7 @@ from domlab import (
 )
 
 from orbit_reference import ordered_edge_orbit_representatives
+from test_properties import OVERCLAIMED_CONNECTED
 
 SMALL = [path(2), path(3), cycle(3), cycle(4), star(3)]
 
@@ -253,6 +254,26 @@ def test_search_memo_builds_one_search_per_value(monkeypatch):
     cached = [o for o in gc.get_objects() if isinstance(o, solver._Search)]
     assert len(cached) >= searches.currsize > 0
     assert not any(isinstance(v, dict) for s in cached for v in vars(s).values())
+
+
+def test_ta_vertex_asks_membership_only_where_gamma_changes(monkeypatch):
+    # a vertex in no minimum set is a violation only if deleting it changes
+    # gamma, so the membership search runs only for those vertices
+    from domlab import verifier
+
+    corpus, props = load_corpus("n6all"), [ANY_GRAPH, EDGELESS]
+    plain = _without_elapsed(run_suites(["TA-vertex"], props, corpus))
+    asked, real = [], verifier.in_some_minimum_set
+
+    def counting(g, p, v):
+        asked.append((g, p, v))
+        return real(g, p, v)
+
+    monkeypatch.setattr(verifier, "in_some_minimum_set", counting)
+    assert _without_elapsed(run_suites(["TA-vertex"], props, corpus)) == plain
+    assert asked == [(g, p, v) for g in corpus for p in props for v in range(g.n)
+                     if gamma_value(delete_vertex(g, v)[0], p) != gamma_value(g, p)]
+    assert asked
 
 
 class TestPerGraphLoop:
@@ -472,7 +493,7 @@ class TestPerGraphLoop:
         assert real.graphs_checked == len(corpus)
 
     def test_pool_has_at_most_one_worker_per_graph(self, monkeypatch):
-        from domlab import verifier
+        import multiprocessing
 
         sizes = []
 
@@ -489,7 +510,7 @@ class TestPerGraphLoop:
             def join(self):
                 pass
 
-        monkeypatch.setattr(verifier.multiprocessing, "Pool", RecordingPool)
+        monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
         corpus = load_corpus("n5all")
         serial = _without_elapsed(run_suites(["T3-equiv"], [ANY_GRAPH], corpus[:2]))
         pooled = run_suites(["T3-equiv"], [ANY_GRAPH], corpus[:2], VerifyOptions(jobs=3))
@@ -530,14 +551,6 @@ def _scan_reference(g, p):
     }
 
 
-# connected, claimed to have every flag: C5 and P3 have it, and each loses it
-# with an isolated vertex added, after an edge deletion and after a vertex
-# deletion
-OVERCLAIMED_CONNECTED = PropertyDescriptor(
-    "C", "connected (overclaimed)", hereditary=True, induced_hereditary=True,
-    closed_union_K1=True, nondegenerate=True)
-
-
 class TestFlagAuditInTheWalk:
     def test_jobs_agree(self):
         from domlab import properties
@@ -558,6 +571,20 @@ class TestFlagAuditInTheWalk:
         flags = ["closed_union_K1", "hereditary", "induced_hereditary"]
         assert [(v["graph6"], v["flag"]) for v in report.violations] == [
             (to_graph6(g), flag) for g in (cycle(5), path(3)) for flag in flags]
+
+    @pytest.mark.parametrize("props, walked", [
+        ([CONNECTED, NO_ISOLATED], set()),  # they claim no flag
+        ([CLIQUE_COMPONENTS], {"_induced_failure"}),  # not hereditary
+    ], ids=["C,T", "UK"])
+    def test_walks_only_the_closures_of_claimed_flags(self, props, walked):
+        from domlab import properties
+
+        memos = {"_induced_failure", "_spanning_failure"}
+        for name in memos:
+            getattr(properties, name).cache_clear()
+        run_suites(["FLAG-audit"], props, load_corpus("n6all"))
+        assert {name for name in memos
+                if getattr(properties, name).cache_info().misses} == walked
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_fail_fast_stops_after_the_first_violating_graph(self, jobs):
