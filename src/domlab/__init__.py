@@ -17,6 +17,7 @@ from .criticality import (
     check_theorem1_conditions,
     class_membership,
     classify_edge,
+    condition_report,
     is_s_plus_critical_iff_conditions,
     s_minus_equiv_er_minus,
 )

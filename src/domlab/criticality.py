@@ -7,11 +7,13 @@ structural conditions that characterize S+-critical edges; condition (iii)
 is implemented as the mirror image of (ii) (swap the roles of the
 endpoints). `literal=True` selects the non-symmetrized reading of (iii),
 which can never hold, so audit runs with it report (i) and (ii) alone.
+`condition_report` checks them against every minimum set.
 
 When any of the three gamma values involved is undefined, every flag is
 False and the classification is marked out of scope; the theorems'
 hypotheses guarantee existence, so outside them we report rather than
-assert.
+assert. `is_s_plus_critical_iff_conditions`, `s_minus_equiv_er_minus` and
+`class_membership` are the verifier's COR2-iff, T3-equiv and COR4-classes.
 """
 
 from __future__ import annotations
@@ -48,13 +50,8 @@ class EdgeClassification:
     condition_report: tuple[tuple[VertexSet, ConditionCheck], ...]
 
 
-def check_theorem1_conditions(
-    g: Graph,
-    e: Edge,
-    p: PropertyDescriptor,
-    M: VertexSet,
-    literal: bool = False,
-) -> ConditionCheck:
+def check_theorem1_conditions(g: Graph, e: Edge, p: PropertyDescriptor, M: VertexSet,
+                              literal: bool = False) -> ConditionCheck:
     """Which of the S+-criticality conditions does the minimum set M satisfy?
 
     (i)   neither endpoint is in M;
@@ -74,17 +71,20 @@ def check_theorem1_conditions(
     ubit, vbit = 1 << u, 1 << v
     pair = ubit | vbit
 
-    cond_i = not M & pair
-
     def half(a, abit, bbit):
         if not M & abit:
             return False
         pn_a = private_neighbors(g, a, M)
         return bool(pn_a & bbit) and bool(pn_a & ~pair)
 
-    cond_ii = half(u, ubit, vbit)
-    cond_iii = not literal and half(v, vbit, ubit)
-    return ConditionCheck(cond_i, cond_ii, cond_iii)
+    return ConditionCheck(not M & pair, half(u, ubit, vbit),
+                          not literal and half(v, vbit, ubit))
+
+
+def condition_report(g: Graph, e: Edge, p: PropertyDescriptor, literal: bool = False):
+    """(M, the conditions M meets) per minimum set M of g, lazily, in lexicographic order."""
+    for M in all_minimum_sets(g, p):
+        yield M, check_theorem1_conditions(g, e, p, M, literal=literal)
 
 
 def classify_edge(g: Graph, e: Edge, p: PropertyDescriptor,
@@ -96,12 +96,7 @@ def classify_edge(g: Graph, e: Edge, p: PropertyDescriptor,
     subdivided = gamma_value(subdivide_edge(g, (u, v), 1), p)
     deleted = gamma_value(delete_edge(g, (u, v)), p)
     in_scope = None not in (base, subdivided, deleted)
-    report: tuple[tuple[VertexSet, ConditionCheck], ...] = ()
-    if base is not None:
-        report = tuple(
-            (M, check_theorem1_conditions(g, (u, v), p, M, literal=literal))
-            for M in all_minimum_sets(g, p)
-        )
+    report = () if base is None else tuple(condition_report(g, (u, v), p, literal))
     return EdgeClassification(
         edge=(u, v),
         gamma=base,
@@ -120,24 +115,34 @@ class IffCheck(NamedTuple):
     rhs: bool  # every minimum set satisfies one of (i)/(ii)/(iii)
 
 
-def is_s_plus_critical_iff_conditions(
-    g: Graph, e: Edge, p: PropertyDescriptor = ANY_GRAPH, literal: bool = False
-) -> IffCheck:
+def is_s_plus_critical_iff_conditions(g: Graph, e: Edge, p: PropertyDescriptor = ANY_GRAPH,
+                                      literal: bool = False) -> IffCheck:
     """Both sides of the S+-criticality characterization (proved for the
     unrestricted property; other properties are accepted for exploration).
 
     Unlike classify_edge's s_plus, lhs needs no gamma of G-e: it holds when
     gamma of G and of the subdivided graph exist and the subdivision raises it.
+    rhs stops at the first minimum set that satisfies no condition.
     """
-    c = classify_edge(g, e, p, literal=literal)
-    lhs = None not in (c.gamma, c.gamma_subdivided) and c.gamma_subdivided > c.gamma
-    rhs = c.gamma is not None and all(cond.any for _, cond in c.condition_report)
+    base = gamma_value(g, p)
+    subdivided = gamma_value(subdivide_edge(g, e, 1), p)
+    lhs = None not in (base, subdivided) and subdivided > base
+    rhs = base is not None and all(c.any for _, c in condition_report(g, e, p, literal))
     return IffCheck(lhs, rhs)
 
 
 class MinusCheck(NamedTuple):
     s_minus: bool
     er_minus: bool
+
+
+def _minus_check(g: Graph, e: Edge, p: PropertyDescriptor) -> MinusCheck:
+    """classify_edge's s_minus and er_minus, both False if a gamma is undefined."""
+    base = gamma_value(g, p)
+    subdivided = gamma_value(subdivide_edge(g, e, 1), p)
+    deleted = gamma_value(delete_edge(g, e), p)
+    in_scope = None not in (base, subdivided, deleted)
+    return MinusCheck(in_scope and subdivided < base, in_scope and deleted < base)
 
 
 def s_minus_equiv_er_minus(g: Graph, e: Edge, p: PropertyDescriptor) -> MinusCheck:
@@ -147,8 +152,7 @@ def s_minus_equiv_er_minus(g: Graph, e: Edge, p: PropertyDescriptor) -> MinusChe
     outside that scope the equivalence is not claimed.
     """
     require(p, "induced_hereditary")
-    c = classify_edge(g, e, p)
-    return MinusCheck(c.s_minus, c.er_minus)
+    return _minus_check(g, e, p)
 
 
 class ClassMembership(NamedTuple):
@@ -157,9 +161,9 @@ class ClassMembership(NamedTuple):
 
 
 def class_membership(g: Graph, p: PropertyDescriptor) -> ClassMembership:
+    """Each side stops at the first edge outside its class."""
     edges = g.edges()
     if not edges:
         raise ValueError("class membership needs at least one edge")
-    flags = [classify_edge(g, e, p) for e in edges]
-    return ClassMembership(all(c.s_minus for c in flags),
-                           all(c.er_minus for c in flags))
+    return ClassMembership(all(_minus_check(g, e, p).s_minus for e in edges),
+                           all(_minus_check(g, e, p).er_minus for e in edges))

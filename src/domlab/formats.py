@@ -37,6 +37,8 @@ def _decode_header(data: bytes) -> tuple[int, int]:
             if not 63 <= data[i] <= 126:
                 raise Graph6Error(f"invalid header byte {data[i]}", i)
             n = (n << 6) | (data[i] - 63)
+        if n <= _MAX_4BYTE:
+            raise Graph6Error(f"non-canonical multi-byte header for n={n}", 0)
         return n, 8
     if len(data) < 4:
         raise Graph6Error("truncated 4-byte length header", len(data))

@@ -14,13 +14,14 @@ at edge e of g, a graph-level check or a scan (g, p, options) those of g.
 The per-graph task writes every record, {"graph6": ..., "edge": [u, v],
 **finding}, with "edge" only for a per-edge check, so no finding holds
 "graph6" and no per-edge finding holds "edge" (the "edge" of an
-er-minus-exists hit is the first edge whose deletion lowers gamma). Checks
-call the edits and the per-edge checks directly; the memos live with those
-functions (the edits in graph.py, check_multi1 and check_multi4 in
+er-minus-exists hit is the first edge whose deletion lowers gamma). A
+check restates no statement another module codes: COR2-iff, T3-equiv and
+COR4-classes call the criticality helpers, T1-necessity reads
+condition_report, and T5, T6 and TB read check_multi1 or check_multi4. The
+memos live with what checks call (the edits in graph.py, those two in
 multisubdivision.py, gamma and the minimum sets in solver.py, the flag
-audit's verdicts per isomorphism class in properties.py), so an edited
-graph or a per-edge check computed for one check or property serves every
-other.
+verdicts per isomorphism class in properties.py), so a graph or value
+computed for one check or property serves every other.
 
 One walk serves suites and scans: each graph is one task (_check_graph)
 that runs every selected (check, property) pair on it, and that task is the
@@ -59,7 +60,12 @@ from typing import Callable, Iterable
 
 from .bitset import members
 from .canon import edge_orbit_representatives
-from .criticality import check_theorem1_conditions
+from .criticality import (
+    class_membership,
+    condition_report,
+    is_s_plus_critical_iff_conditions,
+    s_minus_equiv_er_minus,
+)
 from .formats import to_graph6
 from .graph import (
     Edge,
@@ -156,35 +162,30 @@ def _check_t1_necessity(g: Graph, p: PropertyDescriptor, options: VerifyOptions,
     if sub != base + 1:
         yield dict(gamma=base, gamma_subdivided=sub,
                    detail="critical edge without the forced +1 value")
-    for M in all_minimum_sets(g, p):
-        if not check_theorem1_conditions(g, e, p, M, literal=options.literal_iii).any:
+    for M, conditions in condition_report(g, e, p, options.literal_iii):
+        if not conditions.any:
             yield dict(minimum_set=members(M),
                        detail="critical edge with a minimum set satisfying no condition")
 
 
 def _check_cor2_iff(g: Graph, p: PropertyDescriptor, options: VerifyOptions, e: Edge):
-    lhs = gamma_value(subdivide_edge(g, e, 1), p) > gamma_value(g, p)
-    rhs = all(check_theorem1_conditions(g, e, p, M, literal=options.literal_iii).any
-              for M in all_minimum_sets(g, p))
-    if lhs != rhs:
-        yield dict(s_plus=lhs, conditions_all=rhs, detail="iff characterization mismatch")
+    c = is_s_plus_critical_iff_conditions(g, e, p, options.literal_iii)
+    if c.lhs != c.rhs:
+        yield dict(s_plus=c.lhs, conditions_all=c.rhs, detail="iff characterization mismatch")
 
 
 def _check_t3_equiv(g: Graph, p: PropertyDescriptor, options: VerifyOptions, e: Edge):
-    base = gamma_value(g, p)
-    s_minus = gamma_value(subdivide_edge(g, e, 1), p) < base
-    er_minus = gamma_value(delete_edge(g, e), p) < base
-    if s_minus != er_minus:
-        yield dict(s_minus=s_minus, er_minus=er_minus,
+    c = s_minus_equiv_er_minus(g, e, p)
+    if c.s_minus != c.er_minus:
+        yield dict(s_minus=c.s_minus, er_minus=c.er_minus,
                    detail="subdivision and deletion criticality differ")
 
 
 def _check_cor4_classes(g: Graph, p: PropertyDescriptor, options: VerifyOptions):
-    base = gamma_value(g, p)
-    cs = all(gamma_value(subdivide_edge(g, e, 1), p) < base for e in g.edges())
-    cer = all(gamma_value(delete_edge(g, e), p) < base for e in g.edges())
-    if cs != cer:
-        yield dict(cs_minus=cs, cer_minus=cer, detail="all-edges criticality classes differ")
+    c = class_membership(g, p) if g.edges() else None  # both hold vacuously
+    if c and c.cs_minus != c.cer_minus:
+        yield dict(cs_minus=c.cs_minus, cer_minus=c.cer_minus,
+                   detail="all-edges criticality classes differ")
 
 
 def _check_t5_sandwich(g: Graph, p: PropertyDescriptor, options: VerifyOptions, e: Edge):
@@ -255,14 +256,12 @@ def _check_ta_vertex(g: Graph, p: PropertyDescriptor, options: VerifyOptions):
 
 
 def _check_tb_edgeadd(g: Graph, p: PropertyDescriptor, options: VerifyOptions, e: Edge):
-    base = gamma_value(g, p)
     m = check_multi1(g, e, p)
-    if base < m.gamma_deleted and base != m.gamma_deleted - 1:
-        yield dict(gamma=base, gamma_deleted=m.gamma_deleted,
+    if m.gamma < m.gamma_deleted and not m.a3:
+        yield dict(gamma=m.gamma, gamma_deleted=m.gamma_deleted,
                    detail="edge addition gained more than one")
-    lhs = base == m.gamma_deleted - 1
-    if lhs != m.a2:
-        yield dict(drop_by_one=lhs, conditions=m.a2, detail="edge-addition iff failed")
+    if m.a3 != m.a2:
+        yield dict(drop_by_one=m.a3, conditions=m.a2, detail="edge-addition iff failed")
 
 
 def _check_tc_plus1(g: Graph, p: PropertyDescriptor, options: VerifyOptions, e: Edge):
@@ -367,11 +366,8 @@ def _check_graph(pairs, options: VerifyOptions, g: Graph):
     """One task: (hits, seconds) of each (check id, property) pair on g. A
     check id names a per-graph suite or a scan assertion. The task writes
     each finding into a hit record, with g's graph6 computed once if at all.
-
-    The only loop over g's edges for a suite: a per-edge check runs on the
-    least edge of each ordered edge orbit; only when that run has a hit does
-    it run again on every edge, and that run is reported, so its hits name
-    the same edges in the same order as a run on every edge would."""
+    The only loop over g's edges for a suite, orbit representatives first
+    (see the module docstring)."""
     out, reps, g6 = [], None, None
     for check_id, p in pairs:
         started = time.perf_counter()

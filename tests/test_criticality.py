@@ -4,6 +4,7 @@ import pytest
 
 from domlab import (
     ANY_GRAPH,
+    CATALOG,
     CONNECTED,
     EDGELESS,
     FOREST,
@@ -16,11 +17,15 @@ from domlab import (
     complete_multipartite,
     cycle,
     is_s_plus_critical_iff_conditions,
+    load_corpus,
+    max_degree,
+    parse_graph6,
     path,
     s_minus_equiv_er_minus,
     star,
     three_stars_triangle,
 )
+from domlab.properties import out_of_scope
 
 K333 = complete_multipartite([3, 3, 3])
 
@@ -119,6 +124,23 @@ class TestIff:
         assert is_s_plus_critical_iff_conditions(g, (0, 1), CONNECTED).lhs
 
 
+    def test_rhs_stops_at_the_first_set_without_a_condition(self, monkeypatch):
+        # K2 has the minimum sets {0} and {1}; {0} satisfies no condition
+        # for the edge, so the conditions of {1} are never checked
+        from domlab import criticality
+
+        checked = []
+
+        def checking(g, e, p, M, literal=False):
+            checked.append(M)
+            return real(g, e, p, M, literal=literal)
+
+        real = criticality.check_theorem1_conditions
+        monkeypatch.setattr(criticality, "check_theorem1_conditions", checking)
+        assert is_s_plus_critical_iff_conditions(complete(2), (0, 1)).rhs is False
+        assert checked == [bitmask([0])]
+
+
 class TestMinusEquivalence:
     def test_k333(self):
         assert s_minus_equiv_er_minus(K333, (0, 3), EDGELESS) == (True, True)
@@ -149,8 +171,40 @@ class TestClassMembership:
     def test_c4_edgeless_property(self):
         assert class_membership(cycle(4), EDGELESS) == (False, False)
 
+    def test_a_critical_first_edge_is_not_enough(self):
+        # only the first edge of Flea? is S--critical and ER--critical
+        g = parse_graph6("Flea?")
+        flags = [classify_edge(g, e, EDGELESS) for e in g.edges()]
+        assert [(c.s_minus, c.er_minus) for c in flags].count((True, True)) == 1
+        assert flags[0].s_minus and flags[0].er_minus
+        assert class_membership(g, EDGELESS) == (False, False)
+
     def test_edgeless_graph_rejected(self):
         from domlab import Graph
 
         with pytest.raises(ValueError):
             class_membership(Graph(2, (0, 0)), ANY_GRAPH)
+
+
+def test_helpers_agree_with_classify_edge():
+    # the helpers compute only the gammas and conditions they read; on every
+    # edge of every n6all graph, for every property, they must agree with
+    # the full classification
+    for g in load_corpus("n6all"):
+        for p in (*CATALOG, max_degree(2)):
+            flags = [classify_edge(g, e, p) for e in g.edges()]
+            for c in flags:
+                at = (g.label, c.edge, p.key)
+                for literal in (False, True):
+                    full = classify_edge(g, c.edge, p, literal=literal)
+                    lhs = (None not in (full.gamma, full.gamma_subdivided)
+                           and full.gamma_subdivided > full.gamma)
+                    rhs = (full.gamma is not None
+                           and all(cond.any for _, cond in full.condition_report))
+                    iff = is_s_plus_critical_iff_conditions(g, c.edge, p, literal)
+                    assert iff == (lhs, rhs), (*at, literal)
+                if out_of_scope(p, "induced_hereditary") is None:
+                    assert s_minus_equiv_er_minus(g, c.edge, p) == (c.s_minus, c.er_minus), at
+            if flags:
+                expected = (all(c.s_minus for c in flags), all(c.er_minus for c in flags))
+                assert class_membership(g, p) == expected, (g.label, p.key)

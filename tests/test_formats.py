@@ -72,6 +72,20 @@ class TestParseGraph6:
         with pytest.raises(Graph6Error, match="header"):
             parse_graph6("~A")
 
+    def test_eight_byte_header_for_a_one_byte_n(self):
+        # "DQw" written with an 8-byte header for n = 5
+        with pytest.raises(Graph6Error, match="non-canonical multi-byte header for n=5"):
+            parse_graph6("~~?????DQw")
+
+    def test_eight_byte_header_for_a_four_byte_n(self):
+        # n = 258,047 is the largest n with a 4-byte header; a 4-byte header
+        # cannot hold a larger n, since its second byte would be the "~" that
+        # starts an 8-byte header
+        with pytest.raises(Graph6Error, match="non-canonical multi-byte header for n=258047"):
+            parse_graph6("~~???}~~")
+        with pytest.raises(Graph6Error, match="body truncated"):
+            parse_graph6("~~???~??")  # n = 258,048: the header is canonical
+
 
 class TestToGraph6:
     def test_k2(self):

@@ -20,10 +20,16 @@ def test_same_reports(tmp_path):
     assert same.returncode == 0 and same.stdout == ""
     b.write_text('{"suite": "T1-bound", "elapsed": 2.0}\n{"suite": "T3-equiv", "status": "fail"}\n')
     differ = compare()
-    assert differ.returncode == 1 and "line 2" in differ.stdout
+    # both differing lines follow the line number, without elapsed
+    assert differ.returncode == 1 and differ.stdout.splitlines() == [
+        "first difference at line 2",
+        f'{a}: {{"suite": "T3-equiv"}}',
+        f'{b}: {{"suite": "T3-equiv", "status": "fail"}}',
+    ]
     b.write_text('{"suite": "T1-bound", "elapsed": 2.0}\n')
     shorter = compare()
-    assert shorter.returncode == 1 and "line 2" in shorter.stdout
+    assert shorter.returncode == 1 and shorter.stdout.splitlines() == [
+        "first difference at line 2", f'{a}: {{"suite": "T3-equiv"}}', f"{b}: (no line)"]
 
 
 def test_unreadable_file_is_a_usage_error(tmp_path):

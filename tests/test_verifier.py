@@ -289,7 +289,7 @@ class TestPerGraphLoop:
 
     def test_per_edge_check_runs_once_per_orbit_and_property(self, monkeypatch):
         # computations, not calls: a call the memo answers is not counted
-        from domlab import multisubdivision, verifier
+        from domlab import criticality, multisubdivision, verifier
 
         corpus = load_corpus("n5all")[:20]
         props = [ANY_GRAPH, EDGELESS]
@@ -319,11 +319,15 @@ class TestPerGraphLoop:
         # per-edge checks and properties ask for it: the graphs built equal
         # the distinct edits asked for
         # K_{3,3,3} has edges whose deletion lowers the edgeless-property
-        # gamma, so TC goes on to delete their endpoints
+        # gamma, so TC goes on to delete their endpoints; criticality binds no
+        # delete_vertex
         corpus = load_corpus("n5all") + [complete_multipartite([3, 3, 3])]
         edits, built = set(), []
-        for module in (verifier, multisubdivision):
+        for module in (verifier, multisubdivision, criticality):
             for name in ("subdivide_edge", "delete_edge", "delete_vertex"):
+                if not hasattr(module, name):
+                    continue
+
                 def asking_edit(g, x, *args, _name=name, _real=getattr(module, name)):
                     key = x if _name == "delete_vertex" else tuple(sorted(x))
                     edits.add((to_graph6(g), _name, key, *args))

@@ -4,7 +4,9 @@
 
 Exits 0 when both files have the same lines once `elapsed` is dropped from
 every line that is a JSON object (key order is kept, so a reordered line
-differs); otherwise prints the first differing line number and exits 1.
+differs); otherwise prints the first differing line number, then that line
+of each file with `elapsed` dropped (or "(no line)" past a file's end), and
+exits 1.
 Exits 2 on a usage error or a file it cannot read.
 """
 
@@ -25,12 +27,14 @@ def _without_elapsed(line: str) -> str:
     return json.dumps(record)
 
 
-def first_difference(a: str, b: str) -> int | None:
-    """The 1-based number of the first line where the texts differ, or None."""
+def first_difference(a: str, b: str) -> tuple[int, str | None, str | None] | None:
+    """The 1-based number of the first line where the texts differ, with
+    that line of each text without `elapsed` (None past its end), or None."""
     pairs = zip_longest(a.splitlines(), b.splitlines())
-    for number, (x, y) in enumerate(pairs, start=1):
-        if x is None or y is None or _without_elapsed(x) != _without_elapsed(y):
-            return number
+    for number, lines in enumerate(pairs, start=1):
+        x, y = (None if line is None else _without_elapsed(line) for line in lines)
+        if x != y:  # a line past one file's end is None
+            return number, x, y
     return None
 
 
@@ -40,13 +44,16 @@ def main(argv: list[str]) -> int:
         return 2
     try:
         with open(argv[0]) as fa, open(argv[1]) as fb:
-            number = first_difference(fa.read(), fb.read())
+            difference = first_difference(fa.read(), fb.read())
     except (OSError, UnicodeDecodeError) as exc:
         print(f"same_reports: {exc}", file=sys.stderr)
         return 2
-    if number is None:
+    if difference is None:
         return 0
+    number, *lines = difference
     print(f"first difference at line {number}")
+    for path, line in zip(argv, lines):
+        print(f"{path}: {'(no line)' if line is None else line}")
     return 1
 
 
