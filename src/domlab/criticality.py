@@ -161,9 +161,16 @@ class ClassMembership(NamedTuple):
 
 
 def class_membership(g: Graph, p: PropertyDescriptor) -> ClassMembership:
-    """Each side stops at the first edge outside its class."""
+    """One pass over the edges, which stops once an edge outside each class
+    has been seen."""
     edges = g.edges()
     if not edges:
         raise ValueError("class membership needs at least one edge")
-    return ClassMembership(all(_minus_check(g, e, p).s_minus for e in edges),
-                           all(_minus_check(g, e, p).er_minus for e in edges))
+    cs_minus = cer_minus = True
+    for e in edges:
+        s_minus, er_minus = _minus_check(g, e, p)
+        cs_minus &= s_minus
+        cer_minus &= er_minus
+        if not (cs_minus or cer_minus):
+            break
+    return ClassMembership(cs_minus, cer_minus)

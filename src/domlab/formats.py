@@ -29,27 +29,21 @@ def _decode_header(data: bytes) -> tuple[int, int]:
         if not 63 <= b0 <= 126:
             raise Graph6Error(f"invalid header byte {b0}", 0)
         return b0 - 63, 1
-    if len(data) >= 2 and data[1] == 126:
-        if len(data) < 8:
-            raise Graph6Error("truncated 8-byte length header", len(data))
-        n = 0
-        for i in range(2, 8):
-            if not 63 <= data[i] <= 126:
-                raise Graph6Error(f"invalid header byte {data[i]}", i)
-            n = (n << 6) | (data[i] - 63)
-        if n <= _MAX_4BYTE:
-            raise Graph6Error(f"non-canonical multi-byte header for n={n}", 0)
-        return n, 8
-    if len(data) < 4:
-        raise Graph6Error("truncated 4-byte length header", len(data))
+    # a multi-byte header must not fit a shorter one: n > short_max
+    if len(data) >= 2 and data[1] == 126:  # "~~" and six bytes
+        start, end, short_max = 2, 8, _MAX_4BYTE
+    else:  # "~" and three bytes
+        start, end, short_max = 1, 4, _MAX_1BYTE
+    if len(data) < end:
+        raise Graph6Error(f"truncated {end}-byte length header", len(data))
     n = 0
-    for i in range(1, 4):
+    for i in range(start, end):
         if not 63 <= data[i] <= 126:
             raise Graph6Error(f"invalid header byte {data[i]}", i)
         n = (n << 6) | (data[i] - 63)
-    if n <= _MAX_1BYTE:
+    if n <= short_max:
         raise Graph6Error(f"non-canonical multi-byte header for n={n}", 0)
-    return n, 4
+    return n, end
 
 
 def parse_graph6(line: str) -> Graph:

@@ -25,10 +25,10 @@ takes one of three forms, chosen by the property:
 
 find takes a forced start set, given as a set it accepted before plus one
 vertex u, and a mask of the vertices it may add; the prune tests only u
-(extends). One walk over it lists the minimum sets (_minimum_sets): slot by
-slot it takes each u in ascending order for which the members so far plus
-u, completed with vertices above u, still reach the minimum size, and
-descends. Its first set is gamma's witness; all of them are
+(extends). One walk over it lists the minimum sets (_Search.minimum_sets):
+slot by slot it takes each u in ascending order for which the members so
+far plus u, completed with vertices above u, still reach the minimum size,
+and descends. Its first set is gamma's witness; all of them are
 all_minimum_sets. in_some_minimum_set forces v alone. Forced members may be
 disconnected; C then accepts only a dominating superset that induces one
 component.
@@ -39,16 +39,16 @@ enumeration in increasing cardinality with no pruning, capped at n <= 20.
 Conventions: gamma of the empty graph is 0 with witness {} for properties
 that accept the empty set, undefined otherwise. Witnesses and enumeration
 order are lexicographic on sorted member tuples, lowest vertex id first.
-Values and minimum-set lists are memoized per (graph, property); results
-are identical to cold runs. The value memo holds 16 * MEMO_SIZE = 4,096
-entries, more than one graph's verify task asks for: later graphs reuse
-almost none of them, so a larger bound would only grow each process. The
-searches are memoized too, MEMO_SIZE of them (_search): one _Search per
-(graph, property) answers its value, its minimum sets and its membership
-queries, which come close together. A search keeps no scratch between
-finds, and the closed neighborhoods it reads are computed once per graph
-for every property (_closed_rows). Graphs and property descriptors hash
-once, at construction, so a memo lookup does not rebuild a key tuple.
+The value (_gamma_value) and the tuple of minimum sets (all_minimum_sets)
+each have one memo per (graph, property); membership queries have none.
+Results are identical to cold runs. The value memo holds 16 * MEMO_SIZE =
+4,096 entries, more than one graph's verify task asks for: later graphs
+reuse almost none of them, so a larger bound would only grow each process.
+A search is cheap to build and almost every one answers a single value, so
+each query builds its own and drops it; only the closed neighborhoods it
+reads are memoized, once per graph for every property (_closed_rows).
+Graphs and property descriptors hash once, at construction, so a memo
+lookup does not rebuild a key tuple.
 """
 
 from __future__ import annotations
@@ -159,8 +159,7 @@ class _Search:
     C grows a connected set along its frontier; every other property runs a
     cover search, over open neighborhoods for T and over closed ones with
     induced-hereditary pruning otherwise. Each find sets `allowed` afresh
-    and keeps its memo local, so nothing carries from one find to the next
-    and one object serves every query on its pair (_search).
+    and keeps its memo local, so nothing carries from one find to the next.
     """
 
     def __init__(self, g: Graph, p: PropertyDescriptor):
@@ -296,12 +295,6 @@ class _Search:
         return False
 
 
-# One search per (graph, property), for its value, its minimum sets and its
-# membership queries; they come close together, so MEMO_SIZE searches are
-# enough.
-_search = lru_cache(maxsize=MEMO_SIZE)(_Search)
-
-
 # Sized to one graph's working set, since a later graph reuses almost
 # nothing: one per-graph verify task on n7c (15 suites x I,O,F,UK,D:1) asks
 # at most 325 distinct (graph, property) values, for Flknw.
@@ -309,7 +302,7 @@ _search = lru_cache(maxsize=MEMO_SIZE)(_Search)
 def _gamma_value(g: Graph, p: PropertyDescriptor) -> int | None:
     if g.n == 0:
         return 0 if holds_induced(p, g, 0) else None
-    search = _search(g, p)
+    search = _Search(g, p)
     floor = max(1, -(-g.n // search.max_closed))
     for k in range(floor, g.n + 1):
         if search.find(k) is not None:
@@ -322,17 +315,12 @@ def gamma_value(g: Graph, p: PropertyDescriptor) -> int | None:
     return _gamma_value(g, p)
 
 
-def _minimum_sets(g: Graph, p: PropertyDescriptor, value: int):
-    """Every dominating p-set of size value = gamma, in lexicographic order."""
-    return _search(g, p).minimum_sets(0, 0, value)
-
-
 def gamma(g: Graph, p: PropertyDescriptor) -> GammaResult:
     """Minimum dominating p-set; witness is the lexicographically least one."""
     value = _gamma_value(g, p)
     if value is None:
         return GammaResult(None, None, p, g.label)
-    return GammaResult(value, next(_minimum_sets(g, p, value)), p, g.label)
+    return GammaResult(value, next(_Search(g, p).minimum_sets(0, 0, value)), p, g.label)
 
 
 def gamma_oracle(g: Graph, p: PropertyDescriptor) -> GammaResult:
@@ -356,14 +344,9 @@ def _defined_gamma(g: Graph, p: PropertyDescriptor) -> int:
 
 
 @lru_cache(maxsize=MEMO_SIZE)
-def _all_minimum_sets(g: Graph, p: PropertyDescriptor) -> tuple[VertexSet, ...]:
-    return tuple(_minimum_sets(g, p, _defined_gamma(g, p)))
-
-
-def all_minimum_sets(g: Graph, p: PropertyDescriptor) -> list[VertexSet]:
-    """Every minimum dominating p-set, in lexicographic order; a new list on
-    every call, so callers cannot change the memo."""
-    return list(_all_minimum_sets(g, p))
+def all_minimum_sets(g: Graph, p: PropertyDescriptor) -> tuple[VertexSet, ...]:
+    """Every minimum dominating p-set, in lexicographic order."""
+    return tuple(_Search(g, p).minimum_sets(0, 0, _defined_gamma(g, p)))
 
 
 def in_some_minimum_set(g: Graph, p: PropertyDescriptor, v: int) -> bool:
@@ -373,7 +356,7 @@ def in_some_minimum_set(g: Graph, p: PropertyDescriptor, v: int) -> bool:
     by enumerating all minimum sets.
     """
     check_vertex(g, v)
-    return _search(g, p).find(_defined_gamma(g, p) - 1, u=v) is not None
+    return _Search(g, p).find(_defined_gamma(g, p) - 1, u=v) is not None
 
 
 def v_minus_set(g: Graph, p: PropertyDescriptor) -> VertexSet:

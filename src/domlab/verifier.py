@@ -13,15 +13,14 @@ dict of one hit's details: a per-edge check (g, p, options, e) yields those
 at edge e of g, a graph-level check or a scan (g, p, options) those of g.
 The per-graph task writes every record, {"graph6": ..., "edge": [u, v],
 **finding}, with "edge" only for a per-edge check, so no finding holds
-"graph6" and no per-edge finding holds "edge" (the "edge" of an
-er-minus-exists hit is the first edge whose deletion lowers gamma). A
-check restates no statement another module codes: COR2-iff, T3-equiv and
-COR4-classes call the criticality helpers, T1-necessity reads
-condition_report, and T5, T6 and TB read check_multi1 or check_multi4. The
-memos live with what checks call (the edits in graph.py, those two in
-multisubdivision.py, gamma and the minimum sets in solver.py, the flag
-verdicts per isomorphism class in properties.py), so a graph or value
-computed for one check or property serves every other.
+"graph6" or "edge". A check restates no statement another module codes:
+COR2-iff, T3-equiv and COR4-classes call the criticality helpers,
+T1-necessity reads condition_report, and T5, T6 and TB read check_multi1 or
+check_multi4. The memos live with what checks call (the edits in graph.py,
+those two in multisubdivision.py, gamma's value and the minimum sets in
+solver.py, one memo each, the flag verdicts per isomorphism class in
+properties.py), so a graph or value computed for one check or property
+serves every other.
 
 One walk serves suites and scans: each graph is one task (_check_graph)
 that runs every selected (check, property) pair on it, and that task is the
@@ -486,7 +485,7 @@ def _scan_er_minus_exists(g: Graph, p: PropertyDescriptor, options: VerifyOption
         deleted = gamma_value(delete_edge(g, e), p)
         if deleted is not None and deleted < base:
             # the first such edge, a detail of this graph-level hit
-            yield dict(label=g.label, edge=list(e), gamma=base, gamma_deleted=deleted)
+            yield dict(label=g.label, deleted_edge=list(e), gamma=base, gamma_deleted=deleted)
             return
 
 

@@ -185,6 +185,18 @@ class TestClassMembership:
         with pytest.raises(ValueError):
             class_membership(Graph(2, (0, 0)), ANY_GRAPH)
 
+    def test_each_edge_is_checked_once(self, monkeypatch):
+        # every edge of K_{3,3,3} is in both classes under O, so the one pass
+        # visits all 27 edges, each once
+        from domlab import criticality
+
+        calls = []
+        real = criticality._minus_check
+        monkeypatch.setattr(criticality, "_minus_check",
+                            lambda g, e, p: calls.append(e) or real(g, e, p))
+        assert class_membership(K333, EDGELESS) == (True, True)
+        assert len(calls) == 27 and sorted(calls) == K333.edges()
+
 
 def test_helpers_agree_with_classify_edge():
     # the helpers compute only the gammas and conditions they read; on every

@@ -68,6 +68,13 @@ class TestParseGraph6:
             parse_graph6("A_~")
         assert err.value.offset == 2
 
+    @pytest.mark.parametrize("line, offset", [("~?!?", 2), ("~~??!???", 4)],
+                             ids=["4-byte", "8-byte"])
+    def test_bad_multibyte_header_byte(self, line, offset):
+        with pytest.raises(Graph6Error, match="invalid header byte 33") as err:
+            parse_graph6(line)
+        assert err.value.offset == offset
+
     def test_truncated_multibyte_header(self):
         with pytest.raises(Graph6Error, match="header"):
             parse_graph6("~A")

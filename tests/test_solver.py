@@ -57,8 +57,7 @@ ALL_PROPS = [ANY_GRAPH, EDGELESS, CONNECTED, NO_ISOLATED, FOREST,
 
 
 def clear_solver_memos():
-    for memo in (solver._gamma_value, solver._all_minimum_sets, solver._search,
-                 solver._closed_rows):
+    for memo in (solver._gamma_value, solver.all_minimum_sets, solver._closed_rows):
         memo.cache_clear()
 
 
@@ -149,30 +148,29 @@ class TestIncrementalPrune:
 
     def test_minimum_sets_leave_no_search_behind(self):
         # the walk over minimum sets holds its search without a reference
-        # cycle, so once the search memo lets go of it, the search is freed
-        # without the cyclic collector
+        # cycle, so a finished walk frees its search without the cyclic
+        # collector
         def searches():
             return sum(isinstance(o, solver._Search) for o in gc.get_objects())
 
         gc.collect()
         gc.disable()
         try:
-            solver._search.cache_clear()
             before = searches()
             for _ in range(5):
-                assert len(list(solver._minimum_sets(cycle(4), ANY_GRAPH, 2))) == 6
-            solver._search.cache_clear()
+                walk = solver._Search(cycle(4), ANY_GRAPH).minimum_sets(0, 0, 2)
+                assert len(list(walk)) == 6
+            del walk
             assert searches() == before
         finally:
             gc.enable()
 
     def test_reused_search_carries_no_state(self):
-        # one search serves every query on its (graph, property): a walk over
-        # the minimum sets suspended between sets (as gamma leaves it), the
-        # membership of every vertex, which recomputes gamma on the same
-        # search after the value memo is emptied, and misses on the
-        # vertex-deleted graphs, which build other searches. Each answer
-        # must equal one computed with every memo empty.
+        # a walk over the minimum sets, suspended between sets (as gamma
+        # leaves it), reuses its search for every find; between its sets run
+        # the membership of every vertex, which recomputes gamma after the
+        # value memo is emptied, and misses on the vertex-deleted graphs.
+        # Each answer must equal one computed with every memo empty.
         graphs = [g for g in load_corpus("n6all") if g.n]
         for p in ALL_PROPS:
             clear_solver_memos()
@@ -182,8 +180,7 @@ class TestIncrementalPrune:
                 if value is None:
                     warm.append(None)
                     continue
-                search = solver._search(g, p)
-                walk = solver._minimum_sets(g, p, value)
+                walk = solver._Search(g, p).minimum_sets(0, 0, value)
                 sets, inside, smaller = [next(walk)], [], []
                 for v in range(g.n):
                     solver._gamma_value.cache_clear()
@@ -191,7 +188,6 @@ class TestIncrementalPrune:
                     smaller.append(gamma_value(delete_vertex(g, v)[0], p))
                     sets.extend(itertools.islice(walk, 1))
                 sets.extend(walk)
-                assert solver._search(g, p) is search
                 warm.append((value, sets, inside, smaller))
             cold = []
             for g in graphs:
@@ -200,7 +196,7 @@ class TestIncrementalPrune:
                 if value is None:
                     cold.append(None)
                     continue
-                sets = list(solver._minimum_sets(g, p, value))
+                sets = list(solver._Search(g, p).minimum_sets(0, 0, value))
                 smaller = []
                 for v in range(g.n):
                     clear_solver_memos()
@@ -263,28 +259,26 @@ class TestGammaOracle:
 
 class TestAllMinimumSets:
     def test_p3_unique(self):
-        assert all_minimum_sets(path(3), ANY_GRAPH) == [bitmask([1])]
+        assert all_minimum_sets(path(3), ANY_GRAPH) == (bitmask([1]),)
 
     def test_c4_all_six_pairs(self):
         got = [members(S) for S in all_minimum_sets(cycle(4), ANY_GRAPH)]
         assert got == [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]
 
     def test_k2_edgeless(self):
-        assert all_minimum_sets(complete(2), EDGELESS) == [bitmask([0]), bitmask([1])]
+        assert all_minimum_sets(complete(2), EDGELESS) == (bitmask([0]), bitmask([1]))
 
     def test_undefined_raises(self):
         with pytest.raises(UndefinedGammaError):
             all_minimum_sets(TWO_K2, CONNECTED)
 
-    def test_memo_hands_out_a_new_list(self):
-        from domlab import solver
-
+    def test_memo_hands_out_the_same_tuple(self):
+        # a tuple cannot be changed by a caller, so the memo hands out its own
         first = all_minimum_sets(cycle(4), ANY_GRAPH)
-        hits = solver._all_minimum_sets.cache_info().hits
-        first.clear()  # a caller changing its list leaves the memo as it was
+        hits = all_minimum_sets.cache_info().hits
         second = all_minimum_sets(cycle(4), ANY_GRAPH)
-        assert solver._all_minimum_sets.cache_info().hits == hits + 1
-        assert second is not first and len(second) == 6
+        assert all_minimum_sets.cache_info().hits == hits + 1
+        assert second is first and isinstance(first, tuple) and len(first) == 6
         for _ in range(2):  # an undefined gamma raises on every call
             with pytest.raises(UndefinedGammaError):
                 all_minimum_sets(TWO_K2, CONNECTED)
@@ -298,11 +292,11 @@ class TestAllMinimumSets:
                     value = gamma_value(g, p)
                     if value is None:
                         continue
-                    expected = [
+                    expected = tuple(
                         bitmask(c)
                         for c in itertools.combinations(range(g.n), value)
                         if is_dominating(g, bitmask(c)) and holds_induced(p, g, bitmask(c))
-                    ]
+                    )
                     assert all_minimum_sets(g, p) == expected
                     assert gamma(g, p).witness == expected[0]
 
