@@ -60,8 +60,7 @@ print("C4 is a forest:", holds(CATALOG[4], cycle(4)))
 # False reveal concrete witnesses.
 n5 = load_corpus("n5all")
 for p in CATALOG:
-    rep = audit_flags(p, n5)
-    broken = {flag for flag, hits in rep.violations.items() if hits}
+    broken = {flag for flag, hits in audit_flags(p, n5).items() if hits}
     claimed = {f for f in broken if getattr(p, f)}
     print(f"audit {p.key:<4} definitional failures: {sorted(broken) or 'none'}"
           f"  claimed-flag breaks: {sorted(claimed) or 'none'}")

@@ -54,6 +54,6 @@ print("\nclass of P_n / C_n by n (unrestricted property):")
 header = "  n:      " + "  ".join(f"{n:>2}" for n in range(3, 15))
 print(header)
 print("  paths:  " + "  ".join(
-    f"{s_class(path(n), ANY_GRAPH).class_index:>2}" for n in range(3, 15)))
+    f"{s_class(path(n), ANY_GRAPH):>2}" for n in range(3, 15)))
 print("  cycles: " + "  ".join(
-    f"{s_class(cycle(n), ANY_GRAPH).class_index:>2}" for n in range(3, 15)))
+    f"{s_class(cycle(n), ANY_GRAPH):>2}" for n in range(3, 15)))

@@ -66,7 +66,6 @@ from .multisubdivision import (
     MsdProfile,
     Multi1Check,
     Multi4Check,
-    SClass,
     check_multi1,
     check_multi4,
     edge_minima,
@@ -83,7 +82,6 @@ from .properties import (
     EDGELESS,
     FOREST,
     NO_ISOLATED,
-    AuditReport,
     PropertyDescriptor,
     audit_flags,
     holds,

@@ -135,7 +135,7 @@ def _cmd_sclass(args, out) -> int:
         _emit({
             "graph": to_graph6(g),
             "property": p.key,
-            "class": s_class(g, p).class_index if g.edges() else None,
+            "class": s_class(g, p) if g.edges() else None,
         }, out)
     return 0
 
@@ -174,10 +174,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, with_property=True):
-        if with_property:
-            sp.add_argument("--property", required=True,
-                            help="I, O, C, T, F, UK, or D:<k>")
+    def add_common(sp):
+        sp.add_argument("--property", required=True, help="I, O, C, T, F, UK, or D:<k>")
         sp.add_argument("--input", required=True,
                         help="g6:<file>, edges:<file>, bundled:<name>; file '-' reads stdin")
         sp.add_argument("--skip-bad", action="store_true",

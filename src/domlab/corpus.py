@@ -45,13 +45,13 @@ def _corpus_text(name: str) -> str:
 
 
 def iter_graph6_lines(
-    text: str, source: str = "<corpus>", skip_bad: bool = False, warn=None
+    text: str, source: str = "<corpus>", skip_bad: bool = False
 ) -> Iterator[Graph]:
     """Yield graphs from graph6 lines; labels carry source and line number.
 
     A leading ">>graph6<<" file header is tolerated. Parse errors raise
-    CorpusError with the line number, or emit a warning and continue when
-    skip_bad is set.
+    CorpusError with the line number, or print a warning to stderr and
+    continue when skip_bad is set.
     """
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -64,10 +64,7 @@ def iter_graph6_lines(
         except Graph6Error as exc:
             message = f"{source}:{line_no}: {exc}"
             if skip_bad:
-                if warn is not None:
-                    warn(message)
-                else:
-                    print(f"warning: {message}", file=sys.stderr)
+                print(f"warning: {message}", file=sys.stderr)
                 continue
             raise CorpusError(message) from exc
         yield g.relabel(f"{source}:{line_no} {stripped}")
@@ -78,7 +75,7 @@ def load_corpus(name: str) -> list[Graph]:
     return list(iter_graph6_lines(_corpus_text(name), source=f"bundled:{name}"))
 
 
-def resolve_corpus(spec: str, skip_bad: bool = False, warn=None) -> list[Graph]:
+def resolve_corpus(spec: str, skip_bad: bool = False) -> list[Graph]:
     """Resolve "bundled:<name>", "g6:<path>" or "edges:<path>" (path "-" = stdin)."""
     kind, _, rest = spec.partition(":")
     if not rest:
@@ -94,7 +91,6 @@ def resolve_corpus(spec: str, skip_bad: bool = False, warn=None) -> list[Graph]:
                 raise CorpusError(f"input file {path} not found")
             text, source = path.read_text(), str(path)
         if kind == "g6":
-            return list(iter_graph6_lines(text, source=source,
-                                          skip_bad=skip_bad, warn=warn))
+            return list(iter_graph6_lines(text, source=source, skip_bad=skip_bad))
         return [parse_edge_list(text).relabel(source)]
     raise CorpusError(f"unknown corpus kind {kind!r} (use bundled:, g6: or edges:)")

@@ -179,13 +179,7 @@ def delete_vertex(g: Graph, v: int) -> tuple[Graph, tuple[int, ...]]:
     of w is w - 1 if w > v else w.
     """
     check_vertex(g, v)
-    kept = tuple(w for w in range(g.n) if w != v)
-    low = (1 << v) - 1
-    rows = []
-    for w in kept:
-        row = g.adj[w] & ~(1 << v)
-        rows.append((row & low) | ((row >> (v + 1)) << v))
-    return Graph(g.n - 1, tuple(rows)), kept
+    return induced_subgraph(g, g.vertex_mask & ~(1 << v))
 
 
 @memo_by_edge

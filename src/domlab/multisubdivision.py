@@ -129,13 +129,8 @@ def edge_minima(profiles: list[MsdProfile]) -> MsdGraph:
     )
 
 
-@dataclass(frozen=True)
-class SClass:
-    class_index: int  # 1, 2 or 3
-
-
-def s_class(g: Graph, p: PropertyDescriptor) -> SClass:
-    """Which of the three subdivision classes the graph belongs to.
+def s_class(g: Graph, p: PropertyDescriptor) -> int:
+    """Which of the three subdivision classes the graph belongs to: 1, 2 or 3.
 
     Only hereditary properties closed under union with K1 are accepted: the
     class partition rests on the msd <= 3 guarantee, which is not claimed
@@ -151,7 +146,7 @@ def s_class(g: Graph, p: PropertyDescriptor) -> SClass:
             formats.to_graph6(g), p.key,
             f"multisubdivision number is {result}, expected within 1..3",
         )
-    return SClass(result)
+    return result
 
 
 class Multi1Check(NamedTuple):

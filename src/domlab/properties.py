@@ -10,9 +10,10 @@ Each property is a predicate on graphs plus four metadata flags:
 The flags are hard-coded (they gate which verification suites apply and
 must be deterministic); `audit_flags` is the empirical cross-check that
 hunts for counterexamples to each flag's defining implication on a corpus.
-It tests all four flags, claimed or not; the verifier's FLAG-audit suite
-asks `flag_violations` only for the flags a property claims.
-It is exact on the corpus: every predicate here is invariant under
+It tests all four flags, claimed or not, and returns a dict from each flag
+to its (graph6, detail) witnesses; the verifier's FLAG-audit suite asks
+`flag_violations` only for the flags a property claims.
+The audit is exact on the corpus: every predicate here is invariant under
 isomorphism, so a graph has a subgraph (an induced subgraph) lacking the
 property exactly when one edge or vertex deletion (one vertex deletion)
 turns some subgraph that has it into one that lacks it. The audit checks
@@ -184,37 +185,6 @@ CATALOG = (ANY_GRAPH, EDGELESS, CONNECTED, NO_ISOLATED, FOREST,
 FLAGS = ("hereditary", "induced_hereditary", "closed_union_K1", "nondegenerate")
 
 
-@dataclass
-class AuditReport:
-    """Empirical check of the four flag definitions over a corpus.
-
-    `violations[flag]` lists (graph6, detail) witnesses where the flag's
-    defining implication failed, in corpus order. For hereditary and
-    induced_hereditary the detail names the failing one-step pair: a
-    subgraph of the corpus graph that has the property (graph6), the vertex
-    or edge deleted from it (in its labels), and the graph6 of what is left,
-    which lacks it. A flag claimed True in the descriptor must come out
-    clean; a claimed-False flag may or may not expose a witness on a small
-    corpus.
-    """
-
-    property: PropertyDescriptor
-    graphs_checked: int
-    violations: dict[str, list[tuple[str, str]]]
-
-    @property
-    def claim_violations(self) -> dict[str, list[tuple[str, str]]]:
-        return {
-            flag: hits
-            for flag, hits in self.violations.items()
-            if hits and getattr(self.property, flag)
-        }
-
-    @property
-    def claims_confirmed(self) -> bool:
-        return not self.claim_violations
-
-
 # one entry per (property, class); unlike the gamma memo's, these entries
 # serve later graphs too, whose deletion closures reach the same classes
 @functools.lru_cache(maxsize=1 << 17)
@@ -292,12 +262,14 @@ def flag_violations(p: PropertyDescriptor, g: Graph,
     return out
 
 
-def audit_flags(p: PropertyDescriptor, corpus) -> AuditReport:
-    """Test each flag's defining implication on every corpus graph
-    (flag_violations); the memos serve every later audit too."""
+def audit_flags(p: PropertyDescriptor, corpus) -> dict[str, list[tuple[str, str]]]:
+    """Each flag of FLAGS, claimed or not, mapped to its (graph6, detail)
+    witnesses in corpus order: the corpus graphs on which flag_violations
+    finds the flag's defining implication failing. A flag the descriptor
+    claims must come out clean; a claimed-False flag may or may not expose a
+    witness on a small corpus. The memos serve every later audit too."""
     violations: dict[str, list[tuple[str, str]]] = {flag: [] for flag in FLAGS}
-    graphs = list(corpus)
-    for g in graphs:
+    for g in corpus:
         for flag, detail in flag_violations(p, g):
             violations[flag].append((formats.to_graph6(g), detail))
-    return AuditReport(p, len(graphs), violations)
+    return violations

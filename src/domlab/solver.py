@@ -69,8 +69,6 @@ ORACLE_MAX_N = 20
 class GammaResult:
     value: int | None
     witness: VertexSet | None
-    property: PropertyDescriptor
-    graph_label: str = ""
 
     @property
     def defined(self) -> bool:
@@ -319,8 +317,8 @@ def gamma(g: Graph, p: PropertyDescriptor) -> GammaResult:
     """Minimum dominating p-set; witness is the lexicographically least one."""
     value = _gamma_value(g, p)
     if value is None:
-        return GammaResult(None, None, p, g.label)
-    return GammaResult(value, next(_Search(g, p).minimum_sets(0, 0, value)), p, g.label)
+        return GammaResult(None, None)
+    return GammaResult(value, next(_Search(g, p).minimum_sets(0, 0, value)))
 
 
 def gamma_oracle(g: Graph, p: PropertyDescriptor) -> GammaResult:
@@ -331,8 +329,8 @@ def gamma_oracle(g: Graph, p: PropertyDescriptor) -> GammaResult:
         for combo in itertools.combinations(range(g.n), k):
             S = bitmask(combo)
             if is_dominating(g, S) and holds_induced(p, g, S):
-                return GammaResult(k, S, p, g.label)
-    return GammaResult(None, None, p, g.label)
+                return GammaResult(k, S)
+    return GammaResult(None, None)
 
 
 def _defined_gamma(g: Graph, p: PropertyDescriptor) -> int:

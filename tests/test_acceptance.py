@@ -185,8 +185,8 @@ def test_criterion_09_path_cycle_classes():
     for prop in (ANY_GRAPH, EDGELESS):
         for n in range(3, 15):
             want = expected[n % 3]
-            got_p = s_class(path(n), prop).class_index
-            got_c = s_class(cycle(n), prop).class_index
+            got_p = s_class(path(n), prop)
+            got_c = s_class(cycle(n), prop)
             if got_p != want:
                 problems.append(f"P{n} {prop.key}: {got_p} != {want}")
             if got_c != want:

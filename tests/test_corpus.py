@@ -84,13 +84,10 @@ def test_iter_graph6_lines_errors_carry_line_numbers():
         list(iter_graph6_lines("A_\n~x\n", source="s"))
 
 
-def test_iter_graph6_lines_skip_bad():
-    warnings = []
-    got = list(
-        iter_graph6_lines("A_\n~x\nBw\n", source="s", skip_bad=True,
-                          warn=warnings.append)
-    )
+def test_iter_graph6_lines_skip_bad(capsys):
+    got = list(iter_graph6_lines("A_\n~x\nBw\n", source="s", skip_bad=True))
     assert [g.n for g in got] == [2, 3]
+    warnings = capsys.readouterr().err.splitlines()
     assert len(warnings) == 1 and "s:2" in warnings[0]
 
 

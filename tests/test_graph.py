@@ -147,8 +147,9 @@ class TestDeleteVertex:
         assert translate_set(bitmask([0, 2]), kept) == bitmask([0, 3])
 
     def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            delete_vertex(path(2), 5)
+        for v in (5, -1):
+            with pytest.raises(ValueError, match="out of range"):
+                delete_vertex(path(2), v)
 
 
 class TestSubdivideEdge:

@@ -97,17 +97,30 @@ class TestMsdGraph:
 
 class TestSClass:
     def test_paths_under_edgeless(self):
-        assert s_class(path(6), EDGELESS).class_index == 1
-        assert s_class(path(5), EDGELESS).class_index == 2
-        assert s_class(path(7), EDGELESS).class_index == 3
+        assert s_class(path(6), EDGELESS) == 1
+        assert s_class(path(5), EDGELESS) == 2
+        assert s_class(path(7), EDGELESS) == 3
 
     def test_star_and_cycle(self):
-        assert s_class(star(3), ANY_GRAPH).class_index == 1
-        assert s_class(cycle(7), ANY_GRAPH).class_index == 3
+        assert s_class(star(3), ANY_GRAPH) == 1
+        assert s_class(cycle(7), ANY_GRAPH) == 3
 
     def test_refuses_non_hereditary(self):
         with pytest.raises(ScopeError):
             s_class(path(4), CLIQUE_COMPONENTS)
+
+    def test_refuses_edgeless(self):
+        with pytest.raises(ValueError, match="at least one edge"):
+            s_class(path(1), ANY_GRAPH)
+
+    def test_msd_above_3_raises_bound_violation(self, monkeypatch):
+        from domlab import multisubdivision
+
+        monkeypatch.setattr(multisubdivision, "msd_graph",
+                            lambda g, p, cap: multisubdivision.MsdGraph(BEYOND_CAP, None, None))
+        with pytest.raises(BoundViolation, match="expected within 1..3") as err:
+            s_class(path(3), ANY_GRAPH)
+        assert (err.value.graph6, err.value.property_key) == ("Bg", "I")
 
     def test_bound_violation_carries_replay_data(self):
         err = BoundViolation("Bw", "I", "test detail")

@@ -200,6 +200,12 @@ def exhaustive_audit(p, corpus):
     return violations
 
 
+def claim_violations(p, violations):
+    """The flags of an audit_flags result that p claims and that have
+    witnesses: a claimed flag must come out clean."""
+    return {flag: hits for flag, hits in violations.items() if hits and getattr(p, flag)}
+
+
 def overclaimed(p, **flags):
     return PropertyDescriptor(p.id, f"{p.name} (overclaimed)", k=p.k, **{
         "hereditary": p.hereditary, "induced_hereditary": p.induced_hereditary,
@@ -275,41 +281,40 @@ def cold_failure_memos():
 
 class TestAuditFlags:
     def test_clique_components_not_hereditary(self, n5):
-        report = audit_flags(CLIQUE_COMPONENTS, n5)
-        assert report.violations["hereditary"]  # e.g. a triangle contains P3
-        assert report.claims_confirmed  # the flag is claimed False, so no claim broken
+        violations = audit_flags(CLIQUE_COMPONENTS, n5)
+        assert violations["hereditary"]  # e.g. a triangle contains P3
+        # the flag is claimed False, so no claim broken
+        assert claim_violations(CLIQUE_COMPONENTS, violations) == {}
 
     def test_forest_flags_all_confirmed(self, n5):
-        report = audit_flags(FOREST, n5)
-        assert report.claims_confirmed
-        assert not any(report.violations.values())
+        violations = audit_flags(FOREST, n5)
+        assert list(violations) == list(FLAGS)  # every flag, in FLAGS order
+        assert claim_violations(FOREST, violations) == {}
+        assert not any(violations.values())
 
     def test_no_isolated_degenerate_witness(self, n5):
-        report = audit_flags(NO_ISOLATED, n5)
-        witnesses = [g6 for g6, _ in report.violations["nondegenerate"]]
+        witnesses = [g6 for g6, _ in audit_flags(NO_ISOLATED, n5)["nondegenerate"]]
         assert "@" in witnesses  # the single vertex
 
     def test_connected_breaks_k1_closure(self, n5):
-        report = audit_flags(CONNECTED, n5)
-        assert report.violations["closed_union_K1"]
+        assert audit_flags(CONNECTED, n5)["closed_union_K1"]
 
     def test_all_claimed_flags_hold_on_n5(self, n5):
         for p in list(CATALOG) + [max_degree(2)]:
-            assert audit_flags(p, n5).claims_confirmed, p.key
+            assert claim_violations(p, audit_flags(p, n5)) == {}, p.key
 
     @pytest.mark.parametrize("corpus", ["n5all", "n6all"])
     @pytest.mark.parametrize("p", list(CATALOG) + [max_degree(2)], ids=str)
     def test_matches_exhaustive_reference(self, p, corpus):
         graphs = load_corpus(corpus)
-        report = audit_flags(p, graphs)
-        got = {flag: [g6 for g6, _ in hits] for flag, hits in report.violations.items()}
+        got = {flag: [g6 for g6, _ in hits] for flag, hits in audit_flags(p, graphs).items()}
         assert got == exhaustive_audit(p, graphs)
 
     @pytest.mark.parametrize("p, g, flag", OVERCLAIMED, ids=["UK-K3", "C-C5"])
     def test_overclaimed_flag_matches_exhaustive_reference(self, p, g, flag):
-        report = audit_flags(p, [g])
-        assert list(report.claim_violations) == [flag]
-        got = {f: [g6 for g6, _ in hits] for f, hits in report.violations.items()}
+        violations = audit_flags(p, [g])
+        assert list(claim_violations(p, violations)) == [flag]
+        got = {f: [g6 for g6, _ in hits] for f, hits in violations.items()}
         assert got == exhaustive_audit(p, [g])
 
     def test_edge_deletions_two_deep(self, cold_failure_memos, monkeypatch, n5):
@@ -318,12 +323,12 @@ class TestAuditFlags:
         monkeypatch.setattr(properties, "holds_induced",
                             _holds_induced_or_multipartite(properties.holds_induced))
         p = COMPLETE_MULTIPARTITE
-        report = audit_flags(p, [complete(4)])
-        (_, detail), = report.violations["hereditary"]
+        violations = audit_flags(p, [complete(4)])
+        (_, detail), = violations["hereditary"]
         parent, child = replay(p, detail)
         assert (parent.n, parent.edge_count(), child.edge_count()) == (4, 5, 4)
-        assert not report.violations["induced_hereditary"]
-        got = {f: [g6 for g6, _ in hits] for f, hits in audit_flags(p, n5).violations.items()}
+        assert not violations["induced_hereditary"]
+        got = {f: [g6 for g6, _ in hits] for f, hits in audit_flags(p, n5).items()}
         assert got == exhaustive_audit(p, n5)
         assert got["hereditary"]
 
@@ -343,7 +348,7 @@ class TestAuditFlags:
         # both share memo entries: the claimed flags filter only afterwards
         p, g, flag = OVERCLAIMED[0]
         order = [p, CLIQUE_COMPONENTS][::1 if overclaimed_first else -1]
-        got = {q.name: audit_flags(q, [g]).claim_violations for q in order}
+        got = {q.name: claim_violations(q, audit_flags(q, [g])) for q in order}
         assert list(got[p.name]) == [flag]
         assert got[CLIQUE_COMPONENTS.name] == {}
 
@@ -366,7 +371,7 @@ class TestAuditFlags:
 
     def test_vertex_deletions_two_deep(self):
         p, g, _ = OVERCLAIMED[1]
-        (_, detail), = audit_flags(p, [g]).violations["induced_hereditary"]
+        (_, detail), = audit_flags(p, [g])["induced_hereditary"]
         parent, child = replay(p, detail)
         # the parent is a P4 (it is connected), the child K2 + K1
         assert (parent.n, parent.edge_count(), child.edge_count()) == (4, 3, 1)
@@ -374,7 +379,7 @@ class TestAuditFlags:
     def test_every_witness_replays_and_is_a_subgraph(self, n6):
         for p in CATALOG:
             for flag in ("hereditary", "induced_hereditary"):
-                for g6, detail in audit_flags(p, n6).violations[flag]:
+                for g6, detail in audit_flags(p, n6)[flag]:
                     parent, _ = replay(p, detail)
                     matcher = isomorphism.GraphMatcher(_nx(parse_graph6(g6)), _nx(parent))
                     if flag == "hereditary":

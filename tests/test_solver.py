@@ -16,6 +16,7 @@ from domlab import (
     EDGELESS,
     FOREST,
     NO_ISOLATED,
+    GammaResult,
     Graph,
     OracleCapError,
     PropertyDescriptor,
@@ -103,6 +104,13 @@ class TestGamma:
     def test_witness_is_lex_least(self):
         # C4 has six minimum dominating sets; {0,1} is lexicographically first
         assert gamma(cycle(4), ANY_GRAPH).witness == bitmask([0, 1])
+
+    def test_result_is_value_and_witness(self):
+        # no echo of the inputs: two relabelled copies give equal results
+        c4 = cycle(4)
+        assert gamma(c4.relabel("a"), ANY_GRAPH) == GammaResult(2, bitmask([0, 1]))
+        assert gamma_oracle(c4.relabel("b"), ANY_GRAPH) == GammaResult(2, bitmask([0, 1]))
+        assert gamma(Graph(0, ()), CONNECTED) == GammaResult(None, None)
 
 
 class TestIncrementalPrune:

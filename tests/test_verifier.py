@@ -669,12 +669,12 @@ class TestIngest:
         assert [g.n for g in got] == [2, 3, 4]
         assert got[1].label.endswith(":2 Bw")
 
-    def test_bad_line_skipped_with_warning(self, tmp_path):
+    def test_bad_line_skipped_with_warning(self, tmp_path, capsys):
         f = tmp_path / "c.g6"
         f.write_text("A_\n~broken\nBw\n")
-        warnings = []
-        got = resolve_corpus(f"g6:{f}", skip_bad=True, warn=warnings.append)
-        assert len(got) == 2 and len(warnings) == 1
+        got = resolve_corpus(f"g6:{f}", skip_bad=True)
+        warnings = capsys.readouterr().err.splitlines()
+        assert len(got) == 2 and len(warnings) == 1 and f"{f}:2:" in warnings[0]
 
     def test_bad_line_raises_with_line_number(self, tmp_path):
         f = tmp_path / "c.g6"
