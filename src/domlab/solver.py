@@ -17,11 +17,14 @@ takes one of three forms, chosen by the property:
   S + u has p too, from u's neighbours in S (extends).
 * T runs the same search over open neighborhoods: a set whose open
   neighborhoods cover every vertex dominates and has no isolated vertex.
-* C branches its root the same way, then grows the set along its frontier
-  N(S) - S, each branch excluding the vertices tried before it. It is cut
-  when the undominated vertices outnumber what the budget can dominate, or
-  when one of them lies at distance d from S with d - 1 > budget, since it
-  needs d - 1 more vertices.
+* C picks its root options the same way, then grows the set along its
+  frontier N(S) - S, each branch excluding the vertices tried before it.
+  A vertex's gain is the number of undominated vertices its closed
+  neighborhood holds; options are tried by decreasing gain, ties by
+  vertex id. A node is cut when the budget's largest gains among the
+  addable vertices sum to fewer than the undominated vertices, or when one
+  of those lies at distance d from S with d - 1 > budget, since it needs
+  d - 1 more vertices.
 
 find takes a forced start set, given as a set it accepted before plus one
 vertex u, and a mask of the vertices it may add; the prune tests only u
@@ -258,8 +261,6 @@ class _Search:
         if budget <= 0:
             return None
         undominated = self.full & ~dom
-        if undominated.bit_count() > budget * self.max_closed:
-            return None
         avail = self.allowed & ~excluded & ~S
         if S:
             options = dom & avail  # the frontier N(S) \ S
@@ -267,11 +268,22 @@ class _Search:
                 return None
         else:
             options = self._fewest_candidates(undominated, avail)
-        for u in iter_bits(options):
-            hit = self._connected(S | (1 << u), dom | self.closed[u], excluded, budget - 1)
-            if hit is not None:
-                return hit
-            excluded |= 1 << u
+        # every vertex added below lies in avail and dominates at most its
+        # gain here, so the budget's largest gains must cover the rest
+        closed = self.closed
+        ranked = sorted([(-(row & undominated).bit_count(), v)
+                         for v, row in enumerate(closed) if avail >> v & 1])
+        if -sum([gain for gain, _ in ranked[:budget]]) < undominated.bit_count():
+            return None
+        # largest gains first. Any fixed order keeps the search exact: a
+        # connected superset of S is reached under the first option it
+        # contains, and every caller asks only whether a set exists
+        for _, u in ranked:
+            if options >> u & 1:
+                hit = self._connected(S | (1 << u), dom | closed[u], excluded, budget - 1)
+                if hit is not None:
+                    return hit
+                excluded |= 1 << u
         return None
 
     def _within_reach(self, undominated, frontier, avail, budget):

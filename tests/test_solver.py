@@ -3,6 +3,7 @@
 import gc
 import itertools
 import multiprocessing
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -35,6 +36,7 @@ from domlab import (
     holds_induced,
     in_some_minimum_set,
     induced_subgraph,
+    is_connected,
     is_dominating,
     max_degree,
     members,
@@ -386,6 +388,50 @@ class TestSolverOracleAgreement:
             fast, slow = gamma(g, p), gamma_oracle(g, p)
             assert fast.value == slow.value
             assert fast.witness == slow.witness
+
+
+def seeded_gnm(n, m, tag):
+    """G(n, m): m of the vertex pairs, drawn from random.Random(tag)."""
+    pairs = list(itertools.combinations(range(n), 2))
+    return Graph.from_edges(n, random.Random(tag).sample(pairs, m), label=tag)
+
+
+class TestConnectedAboveToySizes:
+    """C on seeded G(n, 9n/4): the gain bound meets disconnected forced
+    prefixes in the witness walk and in membership queries."""
+
+    GRAPHS = [seeded_gnm(n, 9 * n // 4, f"connected oracle G({n}) #{i}")
+              for n in range(10, 21) for i in range(4)]
+
+    @pytest.mark.parametrize("g", GRAPHS, ids=lambda g: g.label)
+    def test_matches_oracle(self, g):
+        result = gamma(g, CONNECTED)
+        if not is_connected(g):
+            # no connected set dominates; the oracle would try all 2^n sets
+            assert result == GammaResult(None, None)
+            return
+        assert result == gamma_oracle(g, CONNECTED)
+        expected = tuple(
+            bitmask(c) for c in itertools.combinations(range(g.n), result.value)
+            if is_dominating(g, bitmask(c)) and holds_induced(CONNECTED, g, bitmask(c)))
+        assert all_minimum_sets(g, CONNECTED) == expected
+        present = 0
+        for S in expected:
+            present |= S
+        assert [in_some_minimum_set(g, CONNECTED, v) for v in range(g.n)] == [
+            bool(present >> v & 1) for v in range(g.n)]
+
+    def test_value_and_witness_search_visit_few_nodes(self, monkeypatch):
+        # the search before the gain bound and the gain-ranked order made
+        # 71,812 calls on these five graphs (one is disconnected)
+        calls = []
+        real = solver._Search._connected
+        monkeypatch.setattr(solver._Search, "_connected",
+                            lambda self, *args: calls.append(1) or real(self, *args))
+        clear_solver_memos()
+        for i in range(5):
+            gamma(seeded_gnm(28, 63, f"connected nodes #{i}"), CONNECTED)
+        assert len(calls) <= 71_812 // 2
 
 
 class TestClosedFormsBeyondOracle:
