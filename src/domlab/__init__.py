@@ -44,15 +44,11 @@ from .graph import (
     Edge,
     Graph,
     add_edge,
-    closed_neighborhood,
     components,
     components_within,
-    degree,
     delete_edge,
     delete_vertex,
     induced_subgraph,
-    is_connected,
-    open_neighborhood,
     private_neighbors,
     subdivide_edge,
     translate_set,

@@ -27,8 +27,6 @@ automorphism of the graph maps u to x and v to y, which is how
 edge_orbit_representatives finds the ordered edge orbits. Twins in one cell
 stay interchangeable under the colouring, because refinement only splits
 cells.
-
-The certificate is the graph6 string of the canonical relabelling.
 """
 
 from __future__ import annotations
@@ -36,7 +34,6 @@ from __future__ import annotations
 from typing import Sequence
 
 from .bitset import VertexSet, iter_bits
-from .formats import to_graph6
 from .graph import Edge, Graph
 
 
@@ -144,11 +141,6 @@ def canonical_adjacency(adj: Sequence[int], vertices: VertexSet,
     return best
 
 
-def canonical_form(g: Graph) -> Graph:
-    """The canonical relabelling of g: equal for g and h iff they are isomorphic."""
-    return Graph(g.n, canonical_adjacency(g.adj, g.vertex_mask))
-
-
 def edge_orbit_representatives(g: Graph) -> list[Edge]:
     """The least edge (u < v) of each ordered edge orbit of g, in edge order:
     (u, v) and (x, y) share an orbit when an automorphism maps u to x and v
@@ -162,8 +154,3 @@ def edge_orbit_representatives(g: Graph) -> list[Edge]:
             keys.add(key)
             out.append((u, v))
     return out
-
-
-def certificate(g: Graph) -> str:
-    """graph6 string of g's canonical relabelling."""
-    return to_graph6(canonical_form(g))

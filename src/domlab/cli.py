@@ -23,7 +23,7 @@ import sys
 from .bitset import members
 from .corpus import BUNDLED, resolve_corpus
 from .criticality import classify_edge
-from .errors import DomlabError, ScopeError
+from .errors import DomlabError
 from .formats import to_graph6
 from .multisubdivision import DEFAULT_CAP, edge_minima, profile, s_class
 from .properties import parse_property, require
@@ -54,29 +54,40 @@ def _emit(line: dict, out) -> None:
     out.write(json.dumps(line) + "\n")
 
 
-def _cmd_gamma(args, out) -> int:
-    p = parse_property(args.property)
+def _per_graph(args, p, rows, out) -> int:
+    """Write the lines rows(g) yields for each input graph, each led by the
+    graph's graph6 and the property."""
     for g in resolve_corpus(args.input, skip_bad=args.skip_bad):
-        result = gamma(g, p)
-        _emit({
+        lead = {
             "graph": to_graph6(g),
             "property": p.key,
+        }
+        for row in rows(g):
+            _emit(lead | row, out)
+    return 0
+
+
+def _cmd_gamma(args, out) -> int:
+    p = parse_property(args.property)
+
+    def rows(g):
+        result = gamma(g, p)
+        yield {
             "gamma": result.value,
             "witness": members(result.witness) if result.witness is not None else None,
-        }, out)
-    return 0
+        }
+
+    return _per_graph(args, p, rows, out)
 
 
 def _cmd_classify(args, out) -> int:
     p = parse_property(args.property)
-    for g in resolve_corpus(args.input, skip_bad=args.skip_bad):
-        g6 = to_graph6(g)
+
+    def rows(g):
         for e in g.edges():
             c = classify_edge(g, e, p, literal=args.literal_iii)
-            _emit({
-                "graph": g6,
-                "property": p.key,
-                "edge": list(c.edge),
+            yield {
+                "edge": list(e),
                 "gammas": {
                     "base": c.gamma,
                     "subdivided": c.gamma_subdivided,
@@ -92,52 +103,49 @@ def _cmd_classify(args, out) -> int:
                     {"set": members(M), "i": cond.i, "ii": cond.ii, "iii": cond.iii}
                     for M, cond in c.condition_report
                 ],
-            }, out)
-    return 0
+            }
+
+    return _per_graph(args, p, rows, out)
 
 
 def _cmd_msd(args, out) -> int:
     p = parse_property(args.property)
     if args.cap < 1:  # rejected before any input, edgeless or not
         raise ValueError(f"cap must be >= 1, got {args.cap}")
-    for g in resolve_corpus(args.input, skip_bad=args.skip_bad):
-        g6 = to_graph6(g)
-        profiles = [profile(g, e, p, cap=args.cap) for e in g.edges()]
-        for pr in profiles:
-            _emit({
-                "graph": g6,
-                "property": p.key,
-                "edge": list(pr.edge),
+
+    def rows(g):
+        edges = g.edges()
+        profiles = [profile(g, e, p, cap=args.cap) for e in edges]
+        for e, pr in zip(edges, profiles):
+            yield {
+                "edge": list(e),
                 "values": list(pr.values),
                 "msd": pr.msd,
                 "msd_plus": pr.msd_plus,
                 "msd_minus": pr.msd_minus,
-                "cap": pr.cap,
-            }, out)
+                "cap": args.cap,
+            }
         if profiles:
             graph_level = edge_minima(profiles)
-            _emit({
-                "graph": g6,
-                "property": p.key,
+            yield {
                 "edge": None,
                 "msd": graph_level.msd,
                 "msd_plus": graph_level.msd_plus,
                 "msd_minus": graph_level.msd_minus,
                 "cap": args.cap,
-            }, out)
-    return 0
+            }
+
+    return _per_graph(args, p, rows, out)
 
 
 def _cmd_sclass(args, out) -> int:
     p = parse_property(args.property)
     require(p, "hereditary")  # out of scope fails before any line, edgeless or not
-    for g in resolve_corpus(args.input, skip_bad=args.skip_bad):
-        _emit({
-            "graph": to_graph6(g),
-            "property": p.key,
-            "class": s_class(g, p) if g.edges() else None,
-        }, out)
-    return 0
+
+    def rows(g):
+        yield {"class": s_class(g, p) if g.edges() else None}
+
+    return _per_graph(args, p, rows, out)
 
 
 def _cmd_verify(args, out) -> int:
@@ -240,7 +248,7 @@ def main(argv=None) -> int:
         if out is not None:
             out.write("")  # a run without lines still leaves an empty file
         return code
-    except (DomlabError, ScopeError, ValueError, OSError) as exc:
+    except (DomlabError, ValueError, OSError) as exc:
         print(f"domlab: error: {exc}", file=sys.stderr)
         return 2
     finally:

@@ -39,7 +39,6 @@ class ConditionCheck(NamedTuple):
 
 @dataclass(frozen=True)
 class EdgeClassification:
-    edge: Edge
     gamma: int | None
     gamma_subdivided: int | None
     gamma_deleted: int | None
@@ -91,14 +90,12 @@ def classify_edge(g: Graph, e: Edge, p: PropertyDescriptor,
                   literal: bool = False) -> EdgeClassification:
     """Gamma values and criticality flags for one edge, plus the per-minimum-set
     condition report."""
-    u, v = check_edge(g, e)
     base = gamma_value(g, p)
-    subdivided = gamma_value(subdivide_edge(g, (u, v), 1), p)
-    deleted = gamma_value(delete_edge(g, (u, v)), p)
+    subdivided = gamma_value(subdivide_edge(g, e, 1), p)
+    deleted = gamma_value(delete_edge(g, e), p)
     in_scope = None not in (base, subdivided, deleted)
-    report = () if base is None else tuple(condition_report(g, (u, v), p, literal))
+    report = () if base is None else tuple(condition_report(g, e, p, literal))
     return EdgeClassification(
-        edge=(u, v),
         gamma=base,
         gamma_subdivided=subdivided,
         gamma_deleted=deleted,

@@ -21,7 +21,7 @@ import functools
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .bitset import VertexSet, bitmask, iter_bits, members
+from .bitset import VertexSet, iter_bits, members
 
 Edge = tuple[int, int]
 
@@ -29,14 +29,14 @@ MEMO_SIZE = 256  # 8 vertices: 28 edges x 6 subdivisions, or x 8 properties
 
 
 def memo_by_edge(fn):
-    """lru_cache(MEMO_SIZE) for fn(g, e, *args), keyed on the normalised
+    """lru_cache(MEMO_SIZE) for fn(g, e, ...), keyed on the normalised
     edge: [u, v], (u, v) and (v, u) share one entry."""
     cached = functools.lru_cache(maxsize=MEMO_SIZE)(fn)
 
     @functools.wraps(fn)
-    def memoised(g, e, *args):
+    def memoised(g, e, *args, **kwargs):
         u, v = e
-        return cached(g, (u, v) if u < v else (v, u), *args)
+        return cached(g, (u, v) if u < v else (v, u), *args, **kwargs)
 
     memoised.cache_info, memoised.cache_clear = cached.cache_info, cached.cache_clear
     return memoised
@@ -132,21 +132,6 @@ def check_edge(g: Graph, e: Edge) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-def open_neighborhood(g: Graph, v: int) -> VertexSet:
-    check_vertex(g, v)
-    return g.adj[v]
-
-
-def closed_neighborhood(g: Graph, v: int) -> VertexSet:
-    check_vertex(g, v)
-    return g.adj[v] | (1 << v)
-
-
-def degree(g: Graph, v: int) -> int:
-    check_vertex(g, v)
-    return g.adj[v].bit_count()
-
-
 @memo_by_edge
 def delete_edge(g: Graph, e: Edge) -> Graph:
     u, v = check_edge(g, e)
@@ -236,11 +221,6 @@ def components_within(g: Graph, S: VertexSet) -> list[VertexSet]:
 
 def components(g: Graph) -> list[VertexSet]:
     return components_within(g, g.vertex_mask)
-
-
-def is_connected(g: Graph) -> bool:
-    """The empty graph counts as connected by convention."""
-    return len(components(g)) <= 1
 
 
 def induced_subgraph(g: Graph, S: VertexSet) -> tuple[Graph, tuple[int, ...]]:

@@ -28,7 +28,6 @@ from . import formats
 from .graph import (
     Edge,
     Graph,
-    check_edge,
     delete_edge,
     delete_vertex,
     memo_by_edge,
@@ -66,12 +65,10 @@ def ext_min(values) -> MsdValue:
 
 @dataclass(frozen=True)
 class MsdProfile:
-    edge: Edge
     values: tuple[int | None, ...]  # gamma at t = 0..cap
     msd: MsdValue | None
     msd_plus: MsdValue | None
     msd_minus: MsdValue | None
-    cap: int
     in_scope: bool  # False when some gamma value is undefined
 
 
@@ -79,12 +76,11 @@ def profile(g: Graph, e: Edge, p: PropertyDescriptor, cap: int = DEFAULT_CAP) ->
     """Gamma under t-fold subdivision of e, for t = 0..cap, with msd numbers."""
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
-    u, v = check_edge(g, e)
     values = [gamma_value(g, p)]
     for t in range(1, cap + 1):
-        values.append(gamma_value(subdivide_edge(g, (u, v), t), p))
+        values.append(gamma_value(subdivide_edge(g, e, t), p))
     if any(x is None for x in values):
-        return MsdProfile((u, v), tuple(values), None, None, None, cap, False)
+        return MsdProfile(tuple(values), None, None, None, False)
 
     base = values[0]
     msd: MsdValue = next(
@@ -98,7 +94,7 @@ def profile(g: Graph, e: Edge, p: PropertyDescriptor, cap: int = DEFAULT_CAP) ->
     )
     if msd_minus is BEYOND_CAP and p.id == "I":
         msd_minus = PROVEN_INFINITE
-    return MsdProfile((u, v), tuple(values), msd, msd_plus, msd_minus, cap, True)
+    return MsdProfile(tuple(values), msd, msd_plus, msd_minus, True)
 
 
 class MsdGraph(NamedTuple):

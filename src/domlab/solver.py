@@ -73,10 +73,6 @@ class GammaResult:
     value: int | None
     witness: VertexSet | None
 
-    @property
-    def defined(self) -> bool:
-        return self.value is not None
-
 
 def is_dominating(g: Graph, S: VertexSet) -> bool:
     """True iff the closed neighborhoods of S cover all of V(g)."""

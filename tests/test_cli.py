@@ -96,6 +96,41 @@ class TestGamma:
         assert code == 2 and ":2:" in err
 
 
+@pytest.fixture
+def bad_second_line(tmp_path):
+    f = tmp_path / "mixed.g6"
+    f.write_text("A_\nbad\nBw\n")  # K2, a line that is not graph6, the triangle
+    return str(f)
+
+
+class TestSkipBad:
+    """--skip-bad through main: the bad line is named on stderr and skipped,
+    and without the flag it stops the command before any output."""
+
+    GAMMA = ("gamma", "--property", "I", "--input")
+    VERIFY = ("verify", "--suites", "T1-bound", "--properties", "I", "--corpus")
+
+    def test_gamma_skips_the_bad_line(self, capsys, bad_second_line):
+        code, out, err = run_cli(capsys, *self.GAMMA, f"g6:{bad_second_line}",
+                                 "--skip-bad")
+        assert code == 0
+        assert err.startswith(f"warning: {bad_second_line}:2: ") and err.count("\n") == 1
+        assert [r["graph"] for r in jsonl(out)] == ["A_", "Bw"]
+
+    def test_verify_skips_the_bad_line(self, capsys, bad_second_line):
+        code, out, err = run_cli(capsys, *self.VERIFY, f"g6:{bad_second_line}",
+                                 "--skip-bad")
+        assert code == 0
+        assert err.startswith(f"warning: {bad_second_line}:2: ") and err.count("\n") == 1
+        assert [(r["status"], r["graphs_checked"]) for r in jsonl(out)] == [("pass", 2)]
+
+    @pytest.mark.parametrize("command", [GAMMA, VERIFY], ids=["gamma", "verify"])
+    def test_bad_line_exits_2_without_skip_bad(self, capsys, bad_second_line, command):
+        code, out, err = run_cli(capsys, *command, f"g6:{bad_second_line}")
+        assert code == 2 and out == ""
+        assert err.startswith(f"domlab: error: {bad_second_line}:2: ")
+
+
 class TestClassify:
     def test_star_edges(self, capsys, tmp_path):
         f = tmp_path / "star.g6"

@@ -205,18 +205,18 @@ def test_helpers_agree_with_classify_edge():
     for g in load_corpus("n6all"):
         for p in (*CATALOG, max_degree(2)):
             flags = [classify_edge(g, e, p) for e in g.edges()]
-            for c in flags:
-                at = (g.label, c.edge, p.key)
+            for e, c in zip(g.edges(), flags):
+                at = (g.label, e, p.key)
                 for literal in (False, True):
-                    full = classify_edge(g, c.edge, p, literal=literal)
+                    full = classify_edge(g, e, p, literal=literal)
                     lhs = (None not in (full.gamma, full.gamma_subdivided)
                            and full.gamma_subdivided > full.gamma)
                     rhs = (full.gamma is not None
                            and all(cond.any for _, cond in full.condition_report))
-                    iff = is_s_plus_critical_iff_conditions(g, c.edge, p, literal)
+                    iff = is_s_plus_critical_iff_conditions(g, e, p, literal)
                     assert iff == (lhs, rhs), (*at, literal)
                 if out_of_scope(p, "induced_hereditary") is None:
-                    assert s_minus_equiv_er_minus(g, c.edge, p) == (c.s_minus, c.er_minus), at
+                    assert s_minus_equiv_er_minus(g, e, p) == (c.s_minus, c.er_minus), at
             if flags:
                 expected = (all(c.s_minus for c in flags), all(c.er_minus for c in flags))
                 assert class_membership(g, p) == expected, (g.label, p.key)

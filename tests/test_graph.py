@@ -1,24 +1,23 @@
-"""Graph construction, edit operations, and neighborhood queries."""
+"""Graph construction, edit operations, components and private neighbors."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from domlab import (
+    ANY_GRAPH,
     Graph,
     add_edge,
     bitmask,
-    closed_neighborhood,
+    check_multi1,
+    check_multi4,
     complete,
     components,
     cycle,
-    degree,
     delete_edge,
     delete_vertex,
     induced_subgraph,
-    is_connected,
     members,
-    open_neighborhood,
     path,
     private_neighbors,
     star,
@@ -58,7 +57,6 @@ class TestConstruction:
         g = Graph(0, ())
         assert g.n == 0
         assert g.edges() == []
-        assert is_connected(g)  # by convention
         assert components(g) == []
 
     def test_rejects_self_loop(self):
@@ -84,31 +82,11 @@ class TestConstruction:
         assert hash(a) == hash(b)
 
 
-class TestNeighborhoods:
-    def test_p3_center(self):
-        g = path(3)
-        assert members(closed_neighborhood(g, 1)) == [0, 1, 2]
-        assert members(open_neighborhood(g, 1)) == [0, 2]
-
-    def test_k1(self):
-        g = path(1)
-        assert open_neighborhood(g, 0) == 0
-        assert degree(g, 0) == 0
-
-    def test_c5_degrees(self):
-        g = cycle(5)
-        assert all(degree(g, v) == 2 for v in range(5))
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            degree(path(2), 2)
-
-
 class TestDeleteEdge:
     def test_k3_becomes_p3(self):
         g = delete_edge(complete(3), (0, 1))
         assert g.edge_count() == 2
-        assert sorted(degree(g, v) for v in range(3)) == [1, 1, 2]
+        assert sorted(row.bit_count() for row in g.adj) == [1, 1, 2]
 
     def test_p3_splits(self):
         g = delete_edge(path(3), (0, 1))
@@ -116,7 +94,7 @@ class TestDeleteEdge:
 
     def test_c4_becomes_p4(self):
         g = delete_edge(cycle(4), (0, 1))
-        assert g.edge_count() == 3 and is_connected(g)
+        assert g.edge_count() == 3 and len(components(g)) <= 1
 
     def test_absent_edge_rejected(self):
         with pytest.raises(ValueError):
@@ -161,13 +139,13 @@ class TestSubdivideEdge:
     def test_c3_thrice_gives_c6(self):
         g = subdivide_edge(cycle(3), (0, 1), 3)
         assert g.n == 6 and g.edge_count() == 6
-        assert all(degree(g, v) == 2 for v in range(6))
-        assert is_connected(g)
+        assert all(g.adj[v].bit_count() == 2 for v in range(6))
+        assert len(components(g)) <= 1
 
     def test_star_leg(self):
         g = subdivide_edge(star(3), (0, 1), 1)
         assert g.n == 5
-        assert degree(g, 0) == 3 and degree(g, 4) == 2 and degree(g, 1) == 1
+        assert [g.adj[v].bit_count() for v in (0, 4, 1)] == [3, 2, 1]
 
     def test_new_vertices_in_path_order(self):
         g = subdivide_edge(path(2), (0, 1), 3)
@@ -212,6 +190,18 @@ class TestEditMemo:
         assert delete_vertex(g, 2) is delete_vertex(g, 2)
         assert delete_vertex.cache_info().hits == 1
 
+    @pytest.mark.parametrize("edit, rest", [
+        (delete_edge, {}),
+        (subdivide_edge, {"t": 2}),
+        (check_multi1, {"p": ANY_GRAPH}),
+        (check_multi4, {"p": ANY_GRAPH}),
+    ], ids=["delete_edge", "subdivide_edge", "check_multi1", "check_multi4"])
+    def test_keyword_arguments(self, edit, rest):
+        g = cycle(5)
+        positional = edit(g, (1, 0), *rest.values())
+        assert edit(g=g, e=(1, 0), **rest) == positional
+        assert edit(g, (1, 0), **rest) == positional
+
 
 class TestPrivateNeighbors:
     def test_p3_center_alone(self):
@@ -247,7 +237,7 @@ class TestComponentsInduced:
     def test_components_of_k2_plus_k1(self):
         g = Graph.from_edges(3, [(0, 1)])
         assert components(g) == [bitmask([0, 1]), bitmask([2])]
-        assert not is_connected(g)
+        assert len(components(g)) > 1
 
     def test_induced_adjacent_pair_of_c4(self):
         sub, kept = induced_subgraph(cycle(4), bitmask([0, 1]))
