@@ -135,9 +135,8 @@ def canonical_adjacency(adj: Sequence[int], vertices: VertexSet,
                            size))
 
     if cells is None:
-        search(_refine(adj, [vertices] if vertices else [], [vertices], size))
-    else:
-        search(_refine(adj, list(cells), list(cells), size))
+        cells = [vertices] if vertices else []
+    search(_refine(adj, list(cells), cells, size))
     return best
 
 

@@ -12,7 +12,8 @@ package:
   named     stars K_{1,p} p=2..6, triangle-of-stars p=2..4, K_{3,3,3}
 
 The environment variable DOMLAB_CORPUS_DIR points corpus lookup at a
-directory of <name>.g6 files instead of the bundled data.
+directory of <name>.g6 files instead of the bundled data. bundled: and g6:
+specs share one graph6 reader, so skip_bad skips a bad line of either.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ def iter_graph6_lines(
 
 def load_corpus(name: str) -> list[Graph]:
     """Load a bundled corpus by name."""
-    return list(iter_graph6_lines(_corpus_text(name), source=f"bundled:{name}"))
+    return resolve_corpus(f"bundled:{name}")
 
 
 def resolve_corpus(spec: str, skip_bad: bool = False) -> list[Graph]:
@@ -81,16 +82,16 @@ def resolve_corpus(spec: str, skip_bad: bool = False) -> list[Graph]:
     if not rest:
         raise CorpusError(f"corpus spec {spec!r} needs the form kind:value")
     if kind == "bundled":
-        return load_corpus(rest)
-    if kind in ("g6", "edges"):
-        if rest == "-":
-            text, source = sys.stdin.read(), "<stdin>"
-        else:
-            path = Path(rest)
-            if not path.is_file():
-                raise CorpusError(f"input file {path} not found")
-            text, source = path.read_text(), str(path)
-        if kind == "g6":
-            return list(iter_graph6_lines(text, source=source, skip_bad=skip_bad))
+        text, source = _corpus_text(rest), spec
+    elif kind not in ("g6", "edges"):
+        raise CorpusError(f"unknown corpus kind {kind!r} (use bundled:, g6: or edges:)")
+    elif rest == "-":
+        text, source = sys.stdin.read(), "<stdin>"
+    else:
+        path = Path(rest)
+        if not path.is_file():
+            raise CorpusError(f"input file {path} not found")
+        text, source = path.read_text(), str(path)
+    if kind == "edges":
         return [parse_edge_list(text).relabel(source)]
-    raise CorpusError(f"unknown corpus kind {kind!r} (use bundled:, g6: or edges:)")
+    return list(iter_graph6_lines(text, source=source, skip_bad=skip_bad))

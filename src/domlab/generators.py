@@ -28,7 +28,7 @@ def star(p: int) -> Graph:
     """K_{1,p}: center 0, leaves 1..p."""
     if p < 1:
         raise ValueError(f"star needs p >= 1, got {p}")
-    return Graph.from_edges(p + 1, [(0, i) for i in range(1, p + 1)], label=f"K1,{p}")
+    return complete_multipartite([1, p])
 
 
 def complete(n: int) -> Graph:

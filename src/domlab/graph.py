@@ -120,6 +120,12 @@ def check_vertex(g: Graph, v: int) -> None:
         raise ValueError(f"vertex {v} out of range for n={g.n}")
 
 
+def check_set(g: Graph, S: VertexSet) -> None:
+    """ValueError unless every member of S is a vertex of g."""
+    if S & ~g.vertex_mask:
+        raise ValueError("set contains vertices outside the graph")
+
+
 def check_edge(g: Graph, e: Edge) -> Edge:
     """e as (u, v) with u < v; ValueError unless it is an edge of g."""
     u, v = e
@@ -229,8 +235,7 @@ def induced_subgraph(g: Graph, S: VertexSet) -> tuple[Graph, tuple[int, ...]]:
     Returns (graph, kept) with kept[new_id] = old_id. S = 0 yields the empty
     graph.
     """
-    if S & ~g.vertex_mask:
-        raise ValueError("set contains vertices outside the graph")
+    check_set(g, S)
     kept = tuple(members(S))
     new_id = {old: i for i, old in enumerate(kept)}
     rows = []

@@ -135,7 +135,7 @@ def s_class(g: Graph, p: PropertyDescriptor) -> int:
     """
     require(p, "hereditary")
     if not g.edges():
-        raise ValueError("class membership needs at least one edge")
+        raise ValueError("the subdivision class needs at least one edge")
     result = msd_graph(g, p, cap=3).msd
     if not isinstance(result, int) or not 1 <= result <= 3:
         raise BoundViolation(
@@ -167,12 +167,11 @@ def _a2_conditions(g: Graph, e: Edge, p: PropertyDescriptor,
     u, v = e
 
     def side(a, b):
-        smaller, _ = delete_vertex(g, a)
+        smaller, kept = delete_vertex(g, a)
         reduced = gamma_value(smaller, p)
         if reduced is None or reduced >= gamma_deleted:
             return False
-        b_new = b - 1 if b > a else b
-        return in_some_minimum_set(smaller, p, b_new)
+        return in_some_minimum_set(smaller, p, kept.index(b))
 
     return side(u, v) or side(v, u)
 

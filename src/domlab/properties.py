@@ -35,7 +35,7 @@ from dataclasses import dataclass, field, fields
 from .bitset import VertexSet, iter_bits
 from .canon import canonical_adjacency
 from .errors import ScopeError
-from .graph import Graph, components_within, delete_edge, delete_vertex
+from .graph import Graph, check_set, components_within, delete_edge, delete_vertex
 from . import formats
 
 
@@ -110,10 +110,9 @@ def max_degree(k: int) -> PropertyDescriptor:
 def parse_property(text: str) -> PropertyDescriptor:
     """Parse CLI syntax: I, O, C, T, F, UK, or D:<k> (default k=1 for bare D)."""
     t = text.strip()
-    fixed = {p.id: p for p in (ANY_GRAPH, EDGELESS, CONNECTED, NO_ISOLATED,
-                               FOREST, CLIQUE_COMPONENTS)}
-    if t in fixed:
-        return fixed[t]
+    for p in CATALOG:
+        if p.key == t:
+            return p
     if t == "D":
         return max_degree(1)
     if t.startswith("D:"):
@@ -152,8 +151,7 @@ def holds_induced(p: PropertyDescriptor, g: Graph, S: VertexSet) -> bool:
 
     Evaluated directly on the bitmask, without materializing the subgraph.
     """
-    if S & ~g.vertex_mask:
-        raise ValueError("set contains vertices outside the graph")
+    check_set(g, S)
     pid = p.id
     if pid == "I":
         return True

@@ -62,7 +62,7 @@ from functools import lru_cache
 
 from .bitset import VertexSet, bitmask, iter_bits
 from .errors import OracleCapError, UndefinedGammaError
-from .graph import MEMO_SIZE, Graph, check_vertex, components_within, delete_vertex
+from .graph import MEMO_SIZE, Graph, check_set, check_vertex, components_within, delete_vertex
 from .properties import PropertyDescriptor, holds_induced
 
 ORACLE_MAX_N = 20
@@ -76,8 +76,7 @@ class GammaResult:
 
 def is_dominating(g: Graph, S: VertexSet) -> bool:
     """True iff the closed neighborhoods of S cover all of V(g)."""
-    if S & ~g.vertex_mask:
-        raise ValueError("set contains vertices outside the graph")
+    check_set(g, S)
     cover = S
     for v in iter_bits(S):
         cover |= g.adj[v]

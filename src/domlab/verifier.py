@@ -278,14 +278,13 @@ def _check_tc_plus1(g: Graph, p: PropertyDescriptor, options: VerifyOptions, e: 
         if M & pair != pair:
             yield dict(minimum_set=members(M), detail="minimum set missing an endpoint")
     for a, b in ((x, y), (y, x)):
-        smaller, _ = delete_vertex(g, a)
+        smaller, kept = delete_vertex(g, a)
         reduced = gamma_value(smaller, p)
         if reduced < deleted:
             yield dict(vertex=a, gamma_deleted=deleted, gamma_vertex_deleted=reduced,
                        detail="vertex deletion undercut edge deletion")
         elif reduced == deleted:
-            b_new = b - 1 if b > a else b
-            if in_some_minimum_set(smaller, p, b_new):
+            if in_some_minimum_set(smaller, p, kept.index(b)):
                 yield dict(vertex=a, other=b,
                            detail="other endpoint occurs in a minimum "
                                   "set despite equal gamma")

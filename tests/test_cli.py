@@ -103,9 +103,19 @@ def bad_second_line(tmp_path):
     return str(f)
 
 
+@pytest.fixture
+def bad_bundled(bad_second_line, monkeypatch):
+    """The same lines as the bundled n5all, through DOMLAB_CORPUS_DIR."""
+    directory = Path(bad_second_line).parent
+    (directory / "n5all.g6").write_text(Path(bad_second_line).read_text())
+    monkeypatch.setenv("DOMLAB_CORPUS_DIR", str(directory))
+    return "bundled:n5all"
+
+
 class TestSkipBad:
-    """--skip-bad through main: the bad line is named on stderr and skipped,
-    and without the flag it stops the command before any output."""
+    """--skip-bad through main, for g6: files and bundled corpora alike: the
+    bad line is named on stderr and skipped, and without the flag it stops
+    the command before any output."""
 
     GAMMA = ("gamma", "--property", "I", "--input")
     VERIFY = ("verify", "--suites", "T1-bound", "--properties", "I", "--corpus")
@@ -129,6 +139,23 @@ class TestSkipBad:
         code, out, err = run_cli(capsys, *command, f"g6:{bad_second_line}")
         assert code == 2 and out == ""
         assert err.startswith(f"domlab: error: {bad_second_line}:2: ")
+
+    @pytest.mark.parametrize("command", [GAMMA, VERIFY], ids=["gamma", "verify"])
+    def test_bundled_corpus_skips_the_bad_line(self, capsys, bad_bundled, command):
+        code, out, err = run_cli(capsys, *command, bad_bundled, "--skip-bad")
+        assert code == 0
+        assert err.startswith("warning: bundled:n5all:2: ") and err.count("\n") == 1
+        records = jsonl(out)
+        if command is self.GAMMA:
+            assert [r["graph"] for r in records] == ["A_", "Bw"]
+        else:
+            assert [(r["status"], r["graphs_checked"]) for r in records] == [("pass", 2)]
+
+    @pytest.mark.parametrize("command", [GAMMA, VERIFY], ids=["gamma", "verify"])
+    def test_bundled_bad_line_exits_2_without_skip_bad(self, capsys, bad_bundled, command):
+        code, out, err = run_cli(capsys, *command, bad_bundled)
+        assert code == 2 and out == ""
+        assert err.startswith("domlab: error: bundled:n5all:2: ")
 
 
 class TestClassify:

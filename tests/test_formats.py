@@ -1,5 +1,7 @@
 """graph6 codec and edge-list parsing."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 
@@ -151,6 +153,17 @@ class TestParseEdgeList:
         with pytest.raises(EdgeListError) as err:
             parse_edge_list("0 1\n0 x")
         assert err.value.line_no == 2
+
+    @pytest.mark.parametrize("text, message", [
+        ("n 3 4\n0 1", 'line 1: header must be "n <count>"'),
+        ("n x\n0 1", "line 1: unparsable count 'x'"),
+        ("n -1", "line 1: negative vertex count -1"),
+        ("0 1\n0 1 2", "line 2: expected \"u v\", got '0 1 2'"),
+        ("0 1\n0 -1", "line 2: negative vertex id in '0 -1'"),
+    ], ids=["header", "count", "negative-count", "token-count", "negative-id"])
+    def test_malformed_line(self, text, message):
+        with pytest.raises(EdgeListError, match=re.escape(message)):
+            parse_edge_list(text)
 
     def test_blank_lines_skipped(self):
         assert parse_edge_list("\n0 1\n\n1 2\n") == path(3)

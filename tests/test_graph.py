@@ -1,5 +1,7 @@
 """Graph construction, edit operations, components and private neighbors."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +18,9 @@ from domlab import (
     cycle,
     delete_edge,
     delete_vertex,
+    holds_induced,
     induced_subgraph,
+    is_dominating,
     members,
     path,
     private_neighbors,
@@ -75,6 +79,15 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Graph(1, (0b1,))
 
+    @pytest.mark.parametrize("n, rows, message", [
+        (-1, (), "vertex count must be >= 0, got -1"),
+        (2, (0b10,), "adjacency has 1 rows for n=2"),
+        (2, (0b100, 0), "adjacency row 0 references vertices >= n"),
+    ], ids=["negative-n", "row-count", "row-beyond-n"])
+    def test_rejects_bad_rows(self, n, rows, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Graph(n, rows)
+
     def test_equality_ignores_label(self):
         a = Graph.from_edges(2, [(0, 1)], label="one")
         b = Graph.from_edges(2, [(0, 1)], label="two")
@@ -103,6 +116,29 @@ class TestDeleteEdge:
     def test_delete_then_add_is_identity(self):
         g = cycle(5)
         assert add_edge(delete_edge(g, (1, 2)), (1, 2)) == g
+
+
+class TestGuards:
+    def test_self_loop_is_not_an_edge(self):
+        with pytest.raises(ValueError, match=re.escape("(1,1) is a self-loop, not an edge")):
+            delete_edge(path(3), (1, 1))
+
+    def test_add_edge_rejects_self_loop(self):
+        with pytest.raises(ValueError, match=re.escape("(1,1) is a self-loop")):
+            add_edge(path(3), (1, 1))
+
+    def test_add_edge_rejects_existing_edge(self):
+        with pytest.raises(ValueError, match=re.escape("edge (0,1) already present")):
+            add_edge(path(3), (0, 1))
+
+    @pytest.mark.parametrize("ask", [
+        lambda g, S: induced_subgraph(g, S),
+        lambda g, S: holds_induced(ANY_GRAPH, g, S),
+        lambda g, S: is_dominating(g, S),
+    ], ids=["induced_subgraph", "holds_induced", "is_dominating"])
+    def test_vertex_set_must_lie_in_the_graph(self, ask):
+        with pytest.raises(ValueError, match="set contains vertices outside the graph"):
+            ask(path(3), 0b1001)
 
 
 class TestDeleteVertex:

@@ -110,7 +110,7 @@ class TestSClass:
             s_class(path(4), CLIQUE_COMPONENTS)
 
     def test_refuses_edgeless(self):
-        with pytest.raises(ValueError, match="at least one edge"):
+        with pytest.raises(ValueError, match="the subdivision class needs at least one edge"):
             s_class(path(1), ANY_GRAPH)
 
     def test_msd_above_3_raises_bound_violation(self, monkeypatch):

@@ -9,14 +9,24 @@ import pytest
 from domlab import (
     ANY_GRAPH,
     ASSERTIONS,
+    BEYOND_CAP,
     CATALOG,
     CLIQUE_COMPONENTS,
     CONNECTED,
     EDGELESS,
     NO_ISOLATED,
+    ClassMembership,
+    ConditionCheck,
     CorpusError,
+    GammaResult,
     Graph,
+    IffCheck,
+    MinusCheck,
+    MsdGraph,
     MsdMarker,
+    MsdProfile,
+    Multi1Check,
+    Multi4Check,
     PropertyDescriptor,
     STATEMENT_COVERAGE,
     SUITES,
@@ -702,3 +712,127 @@ class TestIngest:
         monkeypatch.setattr(sys, "stdin", io.StringIO(""))
         with pytest.raises(CorpusError):
             resolve_corpus("dot:-")
+
+
+# ------------------------------------------------------- finding layouts --
+#
+# A finding's keys are part of the report's contract, but on the corpora
+# most yields never run, since the statements hold there. Each case below
+# binds stand-ins for what a check reads in `verifier`, so that every yield
+# of the suite or scan fires, and pins the keys of each finding it writes.
+
+P3 = path(3)  # deleting vertex 0 leaves K2, deleting vertex 1 leaves 2K1
+
+
+def _gamma_by_size(table):
+    """A stand-in gamma_value read off the (vertices, edges) of its graph."""
+    return lambda h, p: table[(h.n, h.edge_count())]
+
+
+def _msd_is(value):
+    """Stand-ins under which every graph's msd at cap 3 is `value`."""
+    return {"msd_graph": lambda g, p, cap: MsdGraph(value, None, None)}
+
+
+MULTI1 = Multi1Check(sandwich=False, a1=True, a2=False, a3=False,
+                     gamma=1, gamma_deleted=2, gamma_sub3=4)
+MULTI4 = Multi4Check(iff_holds=False, chain=False, msd_le_3=False,
+                     profile=MsdProfile((1, 2, 2, 2), BEYOND_CAP, None, None, True))
+RAISED_BY_TWO = {"gamma_value": _gamma_by_size({(3, 2): 1, (4, 3): 3})}
+S_CLASS_KEYS = [(None, {"label", "msd"})]
+
+# check or scan -> (corpus, stand-ins, (detail, other keys) of its findings)
+LAYOUT_CASES = {
+    "T1-bound": ([P3], RAISED_BY_TWO, [
+        ("single subdivision raised gamma by more than one",
+         {"gamma", "gamma_subdivided"})]),
+    "T1-necessity": ([P3], {
+        **RAISED_BY_TWO,
+        "condition_report": lambda g, e, p, literal: [(0b1, ConditionCheck(*[False] * 3))],
+    }, [("critical edge without the forced +1 value", {"gamma", "gamma_subdivided"}),
+        ("critical edge with a minimum set satisfying no condition", {"minimum_set"})]),
+    "COR2-iff": ([P3], {
+        "is_s_plus_critical_iff_conditions": lambda g, e, p, literal: IffCheck(True, False),
+    }, [("iff characterization mismatch", {"s_plus", "conditions_all"})]),
+    "T3-equiv": ([P3], {"s_minus_equiv_er_minus": lambda g, e, p: MinusCheck(True, False)},
+                 [("subdivision and deletion criticality differ", {"s_minus", "er_minus"})]),
+    "COR4-classes": ([P3], {"class_membership": lambda g, p: ClassMembership(True, False)},
+                     [("all-edges criticality classes differ", {"cs_minus", "cer_minus"})]),
+    "T5-sandwich": ([P3], {"check_multi1": lambda g, e, p: MULTI1},
+                    [("sandwich bound failed", {"gamma_deleted", "gamma_sub3"})]),
+    "T5-A1A2": ([P3], {"check_multi1": lambda g, e, p: MULTI1},
+                [("a1 and a2 differ", {"a1", "a2"})]),
+    "T5-A1A3": ([P3], {"check_multi1": lambda g, e, p: MULTI1},
+                [("a1 and a3 differ", {"a1", "a3"})]),
+    "T6-iff": ([P3], {"check_multi4": lambda g, e, p: MULTI4},
+               [("triple-subdivision iff failed", {"values"})]),
+    "T6-chain": ([P3], {"check_multi4": lambda g, e, p: MULTI4},
+                 [("seven-term profile chain failed", {"values"})]),
+    "T6-msd3": ([P3], {"check_multi4": lambda g, e, p: MULTI4},
+                [("multisubdivision number above 3", {"msd", "values"})]),
+    "TA-vertex": ([P3], {
+        "gamma_value": _gamma_by_size({(3, 2): 3, (2, 1): 1, (2, 0): None}),
+        "in_some_minimum_set": lambda g, p, v: False,
+        "all_minimum_sets": lambda g, p: (0,),
+    }, [("gamma undefined after vertex deletion", {"vertex"}),
+        ("vertex in no minimum set changed gamma", {"vertex", "gamma", "gamma_deleted"}),
+        ("deletion lowered gamma by more than one", {"vertex", "gamma", "gamma_deleted"}),
+        ("lifted minimum set not minimum or private neighborhood not the vertex alone",
+         {"vertex", "minimum_set"})]),
+    "TB-edgeadd": ([P3], {"check_multi1": lambda g, e, p: MULTI1._replace(a2=True)},
+                   [("edge addition gained more than one", {"gamma", "gamma_deleted"}),
+                    ("edge-addition iff failed", {"drop_by_one", "conditions"})]),
+    "TC-plus1-lemma": ([P3], {
+        # G 5, G - e 2; G - a 1 where a leaves K2, 2 where it leaves 2K1
+        "gamma_value": _gamma_by_size({(3, 2): 5, (3, 1): 2, (2, 1): 1, (2, 0): 2}),
+        "all_minimum_sets": lambda g, p: (0,),
+        "holds_induced": lambda p, g, S: True,
+        "in_some_minimum_set": lambda g, p, v: True,
+    }, [("minimum set of the deleted graph keeps the property with the edge restored",
+         {"minimum_set"}),
+        ("minimum set missing an endpoint", {"minimum_set"}),
+        ("vertex deletion undercut edge deletion",
+         {"vertex", "gamma_deleted", "gamma_vertex_deleted"}),
+        ("other endpoint occurs in a minimum set despite equal gamma", {"vertex", "other"})]),
+    "ORACLE-equiv": ([path(2), P3], {
+        "gamma": lambda g, p: GammaResult(1, 0b1),
+        "gamma_oracle": lambda g, p: GammaResult(g.n - 1, 0b1),  # agrees on K2 only
+        "is_dominating": lambda g, S: False,
+    }, [("solver and oracle disagree", {"solver", "oracle"}),
+        ("witness not a dominating p-set", {"witness"})]),
+    "FLAG-audit": ([P3], {"flag_violations": lambda p, g, flags: [("hereditary", "stand-in")]},
+                   [("stand-in", {"flag"})]),
+    "in-S1": ([P3], _msd_is(1), S_CLASS_KEYS),
+    "in-S2": ([P3], _msd_is(2), S_CLASS_KEYS),
+    "in-S3": ([P3], _msd_is(3), S_CLASS_KEYS),
+    "msd-above-3": ([P3], _msd_is(BEYOND_CAP), S_CLASS_KEYS),
+    "er-minus-exists": ([P3], {"gamma_value": _gamma_by_size({(3, 2): 2, (3, 1): 1})},
+                        [(None, {"label", "deleted_edge", "gamma", "gamma_deleted"})]),
+    "s2-with-cut-vertex": ([P3], _msd_is(2), S_CLASS_KEYS),
+}
+
+
+def test_layout_cases_cover_every_suite_and_scan():
+    assert set(LAYOUT_CASES) == set(SUITES) | set(ASSERTIONS)
+
+
+@pytest.mark.parametrize("check_id", list(LAYOUT_CASES))
+def test_every_finding_is_written_with_its_keys(monkeypatch, check_id):
+    from domlab import verifier
+
+    corpus, stand_ins, expected = LAYOUT_CASES[check_id]
+    for name, fn in stand_ins.items():
+        monkeypatch.setattr(verifier, name, fn)
+    if check_id in SUITES:
+        [report] = run_suites([check_id], [ANY_GRAPH], corpus)
+        records = report.violations
+        json.dumps(report.to_json_dict())
+    else:
+        records = scan_counterexamples(check_id, ANY_GRAPH, corpus)
+    per_edge = check_id in SUITES and SUITES[check_id].per_edge
+    for record in records:
+        json.dumps(record)
+        assert record["graph6"] in {to_graph6(g) for g in corpus}
+        assert ("edge" in record) == per_edge
+    found = {(r.get("detail"), frozenset(r) - {"graph6", "edge", "detail"}) for r in records}
+    assert found == {(detail, frozenset(keys)) for detail, keys in expected}
