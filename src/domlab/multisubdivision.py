@@ -33,7 +33,7 @@ from .graph import (
     memo_by_edge,
     subdivide_edge,
 )
-from .properties import PropertyDescriptor, require
+from .properties import ANY_GRAPH, PropertyDescriptor, require
 from .solver import gamma_value, in_some_minimum_set
 
 DEFAULT_CAP = 6
@@ -92,7 +92,7 @@ def profile(g: Graph, e: Edge, p: PropertyDescriptor, cap: int = DEFAULT_CAP) ->
     msd_minus: MsdValue = next(
         (t for t in range(1, cap + 1) if values[t] < base), BEYOND_CAP
     )
-    if msd_minus is BEYOND_CAP and p.id == "I":
+    if msd_minus is BEYOND_CAP and p == ANY_GRAPH:
         msd_minus = PROVEN_INFINITE
     return MsdProfile(tuple(values), msd, msd_plus, msd_minus, True)
 

@@ -1,6 +1,9 @@
 """Catalog of graph properties used as constraints on dominating sets.
 
-Each property is a predicate on graphs plus four metadata flags:
+Everything a property id means lives here, as its row of RULES (Rule): the
+predicate, the one-vertex test the search prunes with, and the form of the
+search. No other module branches on an id. A descriptor names a row (D:k
+adds its bound k) and carries four metadata flags:
 
 * hereditary           closed under arbitrary subgraphs
 * induced_hereditary   closed under induced subgraphs
@@ -30,6 +33,7 @@ search monotone for the K1-closed properties.
 from __future__ import annotations
 
 import functools
+from collections import namedtuple
 from dataclasses import dataclass, field, fields
 
 from .bitset import VertexSet, iter_bits
@@ -39,9 +43,109 @@ from .graph import Graph, check_set, components_within, delete_edge, delete_vert
 from . import formats
 
 
+def _holds_edgeless(p, g, S):
+    adj = g.adj
+    return all(adj[v] & S == 0 for v in iter_bits(S))
+
+
+def _holds_max_degree(p, g, S):
+    adj, k = g.adj, p.k
+    return all((adj[v] & S).bit_count() <= k for v in iter_bits(S))
+
+
+def _holds_no_isolated(p, g, S):
+    adj = g.adj
+    return S != 0 and all(adj[v] & S for v in iter_bits(S))
+
+
+def _holds_connected(p, g, S):
+    return S != 0 and len(components_within(g, S)) == 1
+
+
+def _holds_forest(p, g, S):
+    adj = g.adj
+    twice_edges = sum((adj[v] & S).bit_count() for v in iter_bits(S))
+    return twice_edges // 2 == S.bit_count() - len(components_within(g, S))
+
+
+def _holds_clique_components(p, g, S):
+    adj = g.adj
+    for comp in components_within(g, S):
+        for v in iter_bits(comp):
+            if comp & ~(adj[v] | (1 << v)):
+                return False
+    return True
+
+
+def _extends_edgeless(p, adj, S, u):
+    return adj[u] & S == 0
+
+
+def _extends_max_degree(p, adj, S, u):
+    # u gets its neighbours in S, and each of them gets u
+    nb = adj[u] & S
+    if nb.bit_count() > p.k:
+        return False
+    while nb:
+        low = nb & -nb
+        if (adj[low.bit_length() - 1] & S).bit_count() >= p.k:
+            return False
+        nb ^= low
+    return True
+
+
+def _extends_clique_components(p, adj, S, u):
+    # u joins a clique component only if it is adjacent to all of it and to
+    # nothing else; the component of a vertex w of S is w plus adj[w] & S
+    nb = adj[u] & S
+    if not nb:
+        return True
+    w = nb & -nb
+    return nb == (adj[w.bit_length() - 1] & S) | w
+
+
+def _extends_forest(p, adj, S, u):
+    # u closes a cycle exactly when two of its neighbours share a tree of S
+    nb = adj[u] & S
+    while nb & (nb - 1):
+        low = nb & -nb
+        tree = frontier = low
+        while frontier:
+            b = frontier & -frontier
+            frontier ^= b
+            grow = adj[b.bit_length() - 1] & S & ~tree
+            tree |= grow
+            frontier |= grow
+        if nb & tree != low:
+            return False
+        nb ^= low
+    return True
+
+
+# What a property id means:
+# * holds(p, g, S): does the subgraph of g induced by S have p?
+# * extends(p, adj, S, u): given that S has p, does S + u? It equals
+#   holds(p, g, S | 1 << u) but reads only u's neighbours in S (for F, their
+#   trees); None where the search tests no partial set.
+# * search: the form of the dominating-set search (see solver): "closed" for
+#   an induced-hereditary p, "open" for T, "connected" for C.
+Rule = namedtuple("Rule", "holds extends search")
+
+
+RULES = {
+    "I": Rule(lambda p, g, S: True, None, "closed"),
+    "O": Rule(_holds_edgeless, _extends_edgeless, "closed"),
+    "C": Rule(_holds_connected, None, "connected"),
+    "T": Rule(_holds_no_isolated, None, "open"),
+    "F": Rule(_holds_forest, _extends_forest, "closed"),
+    "UK": Rule(_holds_clique_components, _extends_clique_components, "closed"),
+    "D": Rule(_holds_max_degree, _extends_max_degree, "closed"),
+}
+
+
 @dataclass(frozen=True)
 class PropertyDescriptor:
-    id: str  # wire format: one of I, O, C, T, F, UK, D (D carries k)
+    id: str  # a key of RULES, the wire format: I, O, C, T, F, UK or D (D carries k)
     name: str = field(compare=False)
     k: int | None = None
     hereditary: bool = field(default=False, compare=False)
@@ -50,6 +154,11 @@ class PropertyDescriptor:
     nondegenerate: bool = field(default=False, compare=False)
 
     def __post_init__(self):
+        # the id's row of RULES, attached like _hash: not a field, and
+        # rebuilt by the constructor when a descriptor is unpickled
+        if self.id not in RULES:
+            raise ValueError(f"unknown property id {self.id!r}")
+        object.__setattr__(self, "rule", RULES[self.id])
         if (self.id == "D") != (self.k is not None):
             raise ValueError("parameter k is required exactly for max-degree properties")
         if self.k is not None and self.k < 0:
@@ -116,10 +225,10 @@ def parse_property(text: str) -> PropertyDescriptor:
     if t == "D":
         return max_degree(1)
     if t.startswith("D:"):
-        try:
-            return max_degree(int(t[2:]))
-        except ValueError:
-            raise ValueError(f"bad max-degree parameter in {text!r}") from None
+        k = t[2:]
+        if not (k.isascii() and k.isdigit()):
+            raise ValueError(f"bad max-degree parameter in {text!r}")
+        return max_degree(int(k))
     raise ValueError(f"unknown property {text!r}")
 
 
@@ -152,29 +261,7 @@ def holds_induced(p: PropertyDescriptor, g: Graph, S: VertexSet) -> bool:
     Evaluated directly on the bitmask, without materializing the subgraph.
     """
     check_set(g, S)
-    pid = p.id
-    if pid == "I":
-        return True
-    adj = g.adj
-    if pid == "O":
-        return all(adj[v] & S == 0 for v in iter_bits(S))
-    if pid == "D":
-        k = p.k
-        return all((adj[v] & S).bit_count() <= k for v in iter_bits(S))
-    if pid == "T":
-        return S != 0 and all(adj[v] & S for v in iter_bits(S))
-    if pid == "C":
-        return S != 0 and len(components_within(g, S)) == 1
-    if pid == "F":
-        twice_edges = sum((adj[v] & S).bit_count() for v in iter_bits(S))
-        return twice_edges // 2 == S.bit_count() - len(components_within(g, S))
-    if pid == "UK":
-        for comp in components_within(g, S):
-            for v in iter_bits(comp):
-                if comp & ~(adj[v] | (1 << v)):
-                    return False
-        return True
-    raise ValueError(f"unknown property id {pid!r}")
+    return p.rule.holds(p, g, S)
 
 
 CATALOG = (ANY_GRAPH, EDGELESS, CONNECTED, NO_ISOLATED, FOREST,

@@ -7,19 +7,22 @@ nondegenerate (e.g. "connected" on a disconnected graph).
 
 The value comes from iterative deepening over the target cardinality, from
 ceil(n / (max degree + 1)) up. Each depth-limited search (_Search.find)
-takes one of three forms, chosen by the property:
+takes one of three forms, the search form of the property's row in
+properties.RULES:
 
-* I, O, F, UK, D:k branch on the closed neighborhood of the undominated
-  vertex with the fewest candidate dominators. Their predicates are
-  induced-hereditary, so a partial set that already lacks the property is
-  pruned (sound: induced subgraphs of supersets contain it). Every branch
-  adds one vertex u to a set S that has p, so the prune asks only whether
-  S + u has p too, from u's neighbours in S (extends).
-* T runs the same search over open neighborhoods: a set whose open
-  neighborhoods cover every vertex dominates and has no isolated vertex.
-* C picks its root options the same way, then grows the set along its
-  frontier N(S) - S, each branch excluding the vertices tried before it.
-  A vertex's gain is the number of undominated vertices its closed
+* closed: branch on the closed neighborhood of the undominated vertex with
+  the fewest candidate dominators. The predicate is induced-hereditary, so
+  a partial set that already lacks the property is pruned (sound: induced
+  subgraphs of supersets contain it). Every branch adds one vertex u to a
+  set S that has p, so the prune asks only whether S + u has p too, by the
+  row's one-vertex test (extends), which reads u's neighbours in S; a row
+  without one (I) prunes nothing.
+* open: the same search over open neighborhoods, without a prune: a set
+  whose open neighborhoods cover every vertex dominates and has no
+  isolated vertex (T).
+* connected: pick the root options the same way, then grow the set along
+  its frontier N(S) - S, each branch excluding the vertices tried before
+  it (C). A vertex's gain is the number of undominated vertices its closed
   neighborhood holds; options are tried by decreasing gain, ties by
   vertex id. A node is cut when the budget's largest gains among the
   addable vertices sum to fewer than the undominated vertices, or when one
@@ -33,8 +36,8 @@ slot by slot it takes each u in ascending order for which the members so
 far plus u, completed with vertices above u, still reach the minimum size,
 and descends. Its first set is gamma's witness; all of them are
 all_minimum_sets. in_some_minimum_set forces v alone. Forced members may be
-disconnected; C then accepts only a dominating superset that induces one
-component.
+disconnected; the connected form then accepts only a dominating superset
+that induces one component.
 
 gamma_oracle is the reference the search is tested against: plain subset
 enumeration in increasing cardinality with no pruning, capped at n <= 20.
@@ -83,64 +86,6 @@ def is_dominating(g: Graph, S: VertexSet) -> bool:
     return cover == g.vertex_mask
 
 
-def _extends_edgeless(p, adj, S, u):
-    return adj[u] & S == 0
-
-
-def _extends_max_degree(p, adj, S, u):
-    # u gets its neighbours in S, and each of them gets u
-    nb = adj[u] & S
-    if nb.bit_count() > p.k:
-        return False
-    while nb:
-        low = nb & -nb
-        if (adj[low.bit_length() - 1] & S).bit_count() >= p.k:
-            return False
-        nb ^= low
-    return True
-
-
-def _extends_clique_components(p, adj, S, u):
-    # u joins a clique component only if it is adjacent to all of it and to
-    # nothing else; the component of a vertex w of S is w plus adj[w] & S
-    nb = adj[u] & S
-    if not nb:
-        return True
-    w = nb & -nb
-    return nb == (adj[w.bit_length() - 1] & S) | w
-
-
-def _extends_forest(p, adj, S, u):
-    # u closes a cycle exactly when two of its neighbours share a tree of S
-    nb = adj[u] & S
-    while nb & (nb - 1):
-        low = nb & -nb
-        tree = frontier = low
-        while frontier:
-            b = frontier & -frontier
-            frontier ^= b
-            grow = adj[b.bit_length() - 1] & S & ~tree
-            tree |= grow
-            frontier |= grow
-        if nb & tree != low:
-            return False
-        nb ^= low
-    return True
-
-
-# extends(p, adj, S, u) by property id: given that S has p, does S + u? Each
-# equals holds_induced(p, g, S | 1 << u) but reads only u's neighbours in S
-# (for F, their trees). I needs no test; _Search falls back to holds_induced
-# itself for an id missing here.
-_EXTENDS = {
-    "I": None,
-    "O": _extends_edgeless,
-    "D": _extends_max_degree,
-    "UK": _extends_clique_components,
-    "F": _extends_forest,
-}
-
-
 @lru_cache(maxsize=MEMO_SIZE)
 def _closed_rows(g: Graph) -> tuple[tuple[int, ...], int]:
     """The closed neighborhoods of g and the largest one's size, shared by
@@ -152,10 +97,11 @@ def _closed_rows(g: Graph) -> tuple[tuple[int, ...], int]:
 class _Search:
     """Depth-limited dominating-set search over one (graph, property) pair.
 
-    C grows a connected set along its frontier; every other property runs a
-    cover search, over open neighborhoods for T and over closed ones with
-    induced-hereditary pruning otherwise. Each find sets `allowed` afresh
-    and keeps its memo local, so nothing carries from one find to the next.
+    The property's search form picks the search: "connected" grows a set
+    along its frontier; "open" and "closed" run a cover search over open or
+    closed neighborhoods, the latter pruned by the row's extends. Each find
+    sets `allowed` afresh and keeps its memo local, so nothing carries from
+    one find to the next.
     """
 
     def __init__(self, g: Graph, p: PropertyDescriptor):
@@ -163,16 +109,14 @@ class _Search:
         self.p = p
         self.full = g.vertex_mask
         self.closed, self.max_closed = _closed_rows(g)
-        if p.id == "T":
+        self.extends, self.search = p.rule.extends, p.rule.search
+        if self.search == "open":
             # a dominating set without isolated vertices is a total dominating
             # set: every vertex, chosen ones included, needs a chosen neighbor
             adj = g.adj
             self.rows, self.max_row = adj, max(map(int.bit_count, adj), default=1)
-            self.extends = None
         else:
             self.rows, self.max_row = self.closed, self.max_closed
-            self.extends = (_EXTENDS[p.id] if p.id in _EXTENDS else
-                            lambda p, adj, S, u: holds_induced(p, g, S | 1 << u))
 
     def find(self, budget: int, base: VertexSet = 0, u: int | None = None,
              allowed: VertexSet | None = None) -> VertexSet | None:
@@ -190,7 +134,7 @@ class _Search:
             low = rest & -rest
             cover |= rows[low.bit_length() - 1]
             rest ^= low
-        if self.p.id == "C":
+        if self.search == "connected":
             return self._connected(start, cover, 0, budget)
         if u is not None and self.extends and not self.extends(self.p, self.g.adj, base, u):
             return None

@@ -78,6 +78,7 @@ from .graph import (
 )
 from .multisubdivision import MsdMarker, check_multi1, check_multi4, msd_graph
 from .properties import (
+    ANY_GRAPH,
     FLAGS,
     PropertyDescriptor,
     flag_violations,
@@ -133,7 +134,7 @@ _nondegenerate_k1 = functools.partial(out_of_scope, flag="nondegenerate")
 
 
 def _scope_unrestricted_only(p: PropertyDescriptor) -> str | None:
-    if p.key != "I":
+    if p != ANY_GRAPH:
         return f"the iff characterization is only claimed for property I, not {p.key}"
     return None
 

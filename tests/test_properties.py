@@ -130,6 +130,10 @@ class TestFlagTable:
             parse_property("X")
         with pytest.raises(ValueError):
             parse_property("D:ما")
+        # only ASCII digits after "D:", though int() accepts all of these
+        for text in ("D:1_0", "D:١", "D:+2", "D: 3", "D:-0"):
+            with pytest.raises(ValueError, match="bad max-degree parameter"):
+                parse_property(text)
 
     def test_scope_rule(self):
         from domlab.properties import out_of_scope, require
@@ -150,6 +154,11 @@ class TestFlagTable:
             PropertyDescriptor("D", "no k")
         with pytest.raises(ValueError):
             max_degree(-1)
+
+    def test_unknown_property_id_raises(self):
+        # rejected when the descriptor is built, not deep inside a search
+        with pytest.raises(ValueError, match="unknown property id"):
+            PropertyDescriptor("X", "unknown")
 
 
 @pytest.fixture(scope="module")
@@ -227,21 +236,13 @@ OVERCLAIMED_CONNECTED = overclaimed(CONNECTED, hereditary=True, induced_heredita
                                     closed_union_K1=True, nondegenerate=True)
 
 
-def _holds_induced_or_multipartite(original):
-    """holds_induced, extended by the id KM: complete multipartite graphs,
-    where non-adjacent vertices have the same neighbours. KM is
-    induced-hereditary but not hereditary, and K4 first fails it two edge
-    deletions deep (K4 minus two edges at one vertex)."""
-    def patched(p, g, S):
-        if p.id != "KM":
-            return original(p, g, S)
-        return all(g.adj[u] & S == g.adj[v] & S
-                   for u in members(S) for v in members(S & ~g.adj[u]))
-    return patched
-
-
-COMPLETE_MULTIPARTITE = PropertyDescriptor("KM", "complete multipartite",
-                                           hereditary=True, induced_hereditary=True)
+def _complete_multipartite(p, g, S):
+    """The predicate of the id KM: complete multipartite graphs, where
+    non-adjacent vertices have the same neighbours. KM is induced-hereditary
+    but not hereditary, and K4 first fails it two edge deletions deep (K4
+    minus two edges at one vertex)."""
+    return all(g.adj[u] & S == g.adj[v] & S
+               for u in members(S) for v in members(S & ~g.adj[u]))
 
 
 def replay(p, detail):
@@ -320,9 +321,11 @@ class TestAuditFlags:
     def test_edge_deletions_two_deep(self, cold_failure_memos, monkeypatch, n5):
         from domlab import properties
 
-        monkeypatch.setattr(properties, "holds_induced",
-                            _holds_induced_or_multipartite(properties.holds_induced))
-        p = COMPLETE_MULTIPARTITE
+        monkeypatch.setitem(properties.RULES, "KM",
+                            properties.Rule(_complete_multipartite, None, "closed"))
+        # claims hereditary, which the audit must refute
+        p = PropertyDescriptor("KM", "complete multipartite",
+                               hereditary=True, induced_hereditary=True)
         violations = audit_flags(p, [complete(4)])
         (_, detail), = violations["hereditary"]
         parent, child = replay(p, detail)
