@@ -11,15 +11,23 @@ takes one of three forms, the search form of the property's row in
 properties.RULES:
 
 * closed: branch on the closed neighborhood of the undominated vertex with
-  the fewest candidate dominators. The predicate is induced-hereditary, so
-  a partial set that already lacks the property is pruned (sound: induced
-  subgraphs of supersets contain it). Every branch adds one vertex u to a
-  set S that has p, so the prune asks only whether S + u has p too, by the
-  row's one-vertex test (extends), which reads u's neighbours in S; a row
-  without one (I) prunes nothing.
+  the fewest candidate dominators, the lowest such vertex on ties. The
+  vertices are kept in tiers, one mask per candidate count, fewest first,
+  so that vertex is the lowest undominated one in the first tier that holds
+  any. The tiers over all of V(g) are built once per graph with the closed
+  rows (_closed_rows); a find that may add fewer vertices builds its own on
+  first use. The predicate is induced-hereditary, so a partial set that
+  already lacks the property is pruned (sound: induced subgraphs of
+  supersets contain it). Every branch adds one vertex u to a set S that has
+  p, so the prune asks only whether S + u has p too, by the row's
+  one-vertex test (extends), which reads u's neighbours in S; a row without
+  one (I) prunes nothing. With one vertex left to add, the search branches
+  on the intersection of the undominated vertices' rows instead: rows are
+  symmetric, so it holds exactly the vertices that dominate them all, and
+  the lowest of them that extends S is what branching on one row returns.
 * open: the same search over open neighborhoods, without a prune: a set
   whose open neighborhoods cover every vertex dominates and has no
-  isolated vertex (T).
+  isolated vertex (T). Its tiers over all of V(g) are built per search.
 * connected: pick the root options the same way, then grow the set along
   its frontier N(S) - S, each branch excluding the vertices tried before
   it (C). A vertex's gain is the number of undominated vertices its closed
@@ -34,10 +42,13 @@ vertex u, and a mask of the vertices it may add; the prune tests only u
 (extends). One walk over it lists the minimum sets (_Search.minimum_sets):
 slot by slot it takes each u in ascending order for which the members so
 far plus u, completed with vertices above u, still reach the minimum size,
-and descends. Its first set is gamma's witness; all of them are
-all_minimum_sets. in_some_minimum_set forces v alone. Forced members may be
-disconnected; the connected form then accepts only a dominating superset
-that induces one component.
+and descends. A set find accepts for prefix + u holds, besides them, only
+vertices above u, so the walk passes it down as a certificate: when the
+next slot reaches the certificate's next member, that slot is known to
+succeed and needs no search. The walk's first set is gamma's witness; all
+of them are all_minimum_sets. in_some_minimum_set forces v alone. Forced
+members may be disconnected; the connected form then accepts only a
+dominating superset that induces one component.
 
 gamma_oracle is the reference the search is tested against: plain subset
 enumeration in increasing cardinality with no pruning, capped at n <= 20.
@@ -52,7 +63,8 @@ Results are identical to cold runs. The value memo holds 16 * MEMO_SIZE =
 reuse almost none of them, so a larger bound would only grow each process.
 A search is cheap to build and almost every one answers a single value, so
 each query builds its own and drops it; only the closed neighborhoods it
-reads are memoized, once per graph for every property (_closed_rows).
+reads and their tiers are memoized, once per graph for every property
+(_closed_rows).
 Graphs and property descriptors hash once, at construction, so a memo
 lookup does not rebuild a key tuple.
 """
@@ -86,12 +98,22 @@ def is_dominating(g: Graph, S: VertexSet) -> bool:
     return cover == g.vertex_mask
 
 
+def _tiers(rows, allowed):
+    """The vertices grouped by how many candidates (row members) they have
+    in allowed, one mask per count, fewest first."""
+    by_count = {}
+    for v, row in enumerate(rows):
+        count = (row & allowed).bit_count()
+        by_count[count] = by_count.get(count, 0) | 1 << v
+    return tuple([by_count[count] for count in sorted(by_count)])
+
+
 @lru_cache(maxsize=MEMO_SIZE)
-def _closed_rows(g: Graph) -> tuple[tuple[int, ...], int]:
-    """The closed neighborhoods of g and the largest one's size, shared by
-    the searches of every property on g."""
+def _closed_rows(g: Graph) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
+    """The closed neighborhoods of g, the largest one's size and their tiers
+    over all of V(g), shared by the searches of every property on g."""
     closed = tuple([row | 1 << v for v, row in enumerate(g.adj)])
-    return closed, max(map(int.bit_count, closed), default=1)
+    return closed, max(map(int.bit_count, closed), default=1), _tiers(closed, g.vertex_mask)
 
 
 class _Search:
@@ -100,23 +122,25 @@ class _Search:
     The property's search form picks the search: "connected" grows a set
     along its frontier; "open" and "closed" run a cover search over open or
     closed neighborhoods, the latter pruned by the row's extends. Each find
-    sets `allowed` afresh and keeps its memo local, so nothing carries from
-    one find to the next.
+    sets `allowed` and its tiers afresh and keeps its memo local, so nothing
+    carries from one find to the next.
     """
 
     def __init__(self, g: Graph, p: PropertyDescriptor):
         self.g = g
         self.p = p
         self.full = g.vertex_mask
-        self.closed, self.max_closed = _closed_rows(g)
+        self.closed, self.max_closed, closed_tiers = _closed_rows(g)
         self.extends, self.search = p.rule.extends, p.rule.search
         if self.search == "open":
             # a dominating set without isolated vertices is a total dominating
             # set: every vertex, chosen ones included, needs a chosen neighbor
             adj = g.adj
             self.rows, self.max_row = adj, max(map(int.bit_count, adj), default=1)
+            self.full_tiers = _tiers(adj, self.full)
         else:
             self.rows, self.max_row = self.closed, self.max_closed
+            self.full_tiers = closed_tiers
 
     def find(self, budget: int, base: VertexSet = 0, u: int | None = None,
              allowed: VertexSet | None = None) -> VertexSet | None:
@@ -128,7 +152,10 @@ class _Search:
         only u needs the prune's test.
         """
         start = base if u is None else base | 1 << u
-        self.allowed = self.full if allowed is None else allowed
+        if allowed is None:
+            self.allowed, self.tiers = self.full, self.full_tiers
+        else:
+            self.allowed, self.tiers = allowed, None  # built on first use
         rows, cover, rest = self.rows, 0, start
         while rest:
             low = rest & -rest
@@ -140,19 +167,17 @@ class _Search:
             return None
         return self._cover(start, cover, budget, {})
 
-    def _fewest_candidates(self, uncovered, avail):
-        # the candidates of the uncovered vertex that has the fewest of them
-        rows, best, fanout = self.rows, 0, self.g.n + 1
-        while uncovered:
-            low = uncovered & -uncovered
-            cand = rows[low.bit_length() - 1] & avail
-            size = cand.bit_count()
-            if size < fanout:
-                best, fanout = cand, size
-                if size <= 1:
-                    break
-            uncovered ^= low
-        return best
+    def _fewest_candidates(self, uncovered):
+        # the candidates in allowed of the lowest uncovered vertex among
+        # those that have the fewest of them; the tiers hold every vertex,
+        # so a nonempty uncovered meets one
+        tiers = self.tiers
+        if tiers is None:
+            tiers = self.tiers = _tiers(self.rows, self.allowed)
+        for tier in tiers:
+            hit = tier & uncovered
+            if hit:
+                return self.rows[(hit & -hit).bit_length() - 1] & self.allowed
 
     def _cover(self, S, cover, budget, best_budget):
         # best_budget: the largest budget each set S failed with in this find
@@ -160,15 +185,24 @@ class _Search:
             return S
         if budget <= 0:
             return None
-        seen = best_budget.get(S)
-        if seen is not None and seen >= budget:
-            return None
-        best_budget[S] = budget
         uncovered = self.full & ~cover
         if uncovered.bit_count() > budget * self.max_row:
             return None
         extends, p, adj, rows = self.extends, self.p, self.g.adj, self.rows
-        cand = self._fewest_candidates(uncovered, self.allowed)
+        if budget == 1:
+            # rows are symmetric, so the last vertex lies in the row of every
+            # uncovered vertex: each candidate left covers them all
+            cand = self.allowed
+            while uncovered and cand:
+                low = uncovered & -uncovered
+                cand &= rows[low.bit_length() - 1]
+                uncovered ^= low
+        else:
+            seen = best_budget.get(S)
+            if seen is not None and seen >= budget:
+                return None
+            best_budget[S] = budget
+            cand = self._fewest_candidates(uncovered)
         while cand:
             low = cand & -cand
             cand ^= low
@@ -180,17 +214,24 @@ class _Search:
                 return hit
         return None
 
-    def minimum_sets(self, prefix, low, remaining):
+    def minimum_sets(self, prefix, low, remaining, certificate=0):
         """Every dominating p-set of prefix plus `remaining` vertices >= low,
         in lexicographic order; a set s1 < ... < sk is reached only along
-        s1, s2, ..., so exactly once."""
+        s1, s2, ..., so exactly once. certificate is 0 or a set find accepted
+        that holds prefix and only members >= low besides: at its next member
+        the slot needs no search."""
         if remaining == 0:
             yield prefix
             return
+        rest = certificate & ~prefix
+        taken = (rest & -rest).bit_length() - 1  # -1 when there is none
         for u in range(low, self.g.n - remaining + 1):
-            above = self.full & ~((2 << u) - 1)
-            if self.find(remaining - 1, prefix, u, above) is not None:
-                yield from self.minimum_sets(prefix | (1 << u), u + 1, remaining - 1)
+            if u == taken:
+                hit = certificate
+            else:
+                hit = self.find(remaining - 1, prefix, u, self.full & ~((2 << u) - 1))
+            if hit is not None:
+                yield from self.minimum_sets(prefix | (1 << u), u + 1, remaining - 1, hit)
 
     def _connected(self, S, dom, excluded, budget):
         # a branch excludes the options tried before it, so every connected
@@ -206,12 +247,16 @@ class _Search:
             if undominated and not self._within_reach(undominated, options, avail, budget):
                 return None
         else:
-            options = self._fewest_candidates(undominated, avail)
+            options = self._fewest_candidates(undominated)  # avail is allowed here
         # every vertex added below lies in avail and dominates at most its
         # gain here, so the budget's largest gains must cover the rest
-        closed = self.closed
-        ranked = sorted([(-(row & undominated).bit_count(), v)
-                         for v, row in enumerate(closed) if avail >> v & 1])
+        closed, ranked, rest = self.closed, [], avail
+        while rest:
+            low = rest & -rest
+            v = low.bit_length() - 1
+            ranked.append((-(closed[v] & undominated).bit_count(), v))
+            rest ^= low
+        ranked.sort()
         if -sum([gain for gain, _ in ranked[:budget]]) < undominated.bit_count():
             return None
         # largest gains first. Any fixed order keeps the search exact: a
@@ -229,13 +274,15 @@ class _Search:
         # an undominated vertex at distance d from S needs a dominator at
         # distance d - 1, i.e. d - 1 more vertices: walk `budget` layers out
         # from S through addable vertices
-        layer, seen = frontier, frontier
+        closed, layer, seen = self.closed, frontier, frontier
         for _ in range(budget):
             if not layer:
                 return False
-            reach = 0
-            for v in iter_bits(layer):
-                reach |= self.closed[v]
+            reach, rest = 0, layer
+            while rest:
+                low = rest & -rest
+                reach |= closed[low.bit_length() - 1]
+                rest ^= low
             undominated &= ~reach
             if not undominated:
                 return True

@@ -435,6 +435,56 @@ class TestConnectedAboveToySizes:
         assert len(calls) <= 71_812 // 2
 
 
+COVER_FORMS = [ANY_GRAPH, EDGELESS, NO_ISOLATED, FOREST, CLIQUE_COMPONENTS,
+               max_degree(1), max_degree(2)]
+
+
+class TestCoverFormsAboveToySizes:
+    """The closed and open cover searches (I, O, T, F, UK, D:1, D:2) on the
+    same G(n, 9n/4): the last vertex picked by intersecting rows, and the
+    tiers built for the narrowed `allowed` of the witness walk's probes."""
+
+    @pytest.mark.parametrize("g", TestConnectedAboveToySizes.GRAPHS, ids=lambda g: g.label)
+    def test_matches_oracle(self, g):
+        for p in COVER_FORMS:
+            result = gamma(g, p)
+            if result.value is None:
+                # only T is undefined, and only with an isolated vertex
+                assert p is NO_ISOLATED and not all(g.adj), (g.label, p.key)
+                continue
+            assert result == gamma_oracle(g, p), p.key
+            expected = tuple(
+                bitmask(c) for c in itertools.combinations(range(g.n), result.value)
+                if is_dominating(g, bitmask(c)) and holds_induced(p, g, bitmask(c)))
+            assert all_minimum_sets(g, p) == expected, p.key
+
+    def test_value_and_witness_search_visit_few_nodes(self, monkeypatch):
+        # the search that branched at budget 1, scanned every uncovered
+        # vertex for the fewest candidates and searched every slot of the
+        # witness walk afresh made these _cover and find calls
+        before = {"I": (4946, 129), "O": (3720, 133), "T": (4105, 137),
+                  "F": (4840, 129), "UK": (5239, 130), "D:1": (5129, 130)}
+        calls = {}
+
+        def counted(name):
+            real = getattr(solver._Search, name)
+
+            def wrapper(self, *args, **kwargs):
+                calls[name] += 1
+                return real(self, *args, **kwargs)
+            return wrapper
+
+        for name in ("_cover", "find"):
+            monkeypatch.setattr(solver._Search, name, counted(name))
+        for key, (covers, finds) in before.items():
+            clear_solver_memos()
+            calls.update({"_cover": 0, "find": 0})
+            for i in range(5):
+                gamma(seeded_gnm(28, 63, f"cover nodes #{i}"), parse_property(key))
+            assert calls["_cover"] <= 0.6 * covers, (key, calls)
+            assert calls["find"] <= 0.9 * finds, (key, calls)
+
+
 class TestClosedFormsBeyondOracle:
     """Known values on paths and cycles above the oracle's n <= 20 cap."""
 

@@ -1,8 +1,12 @@
 """tools/same_reports.py: report files compared apart from elapsed."""
 
+import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SAME_REPORTS = Path(__file__).resolve().parents[1] / "tools" / "same_reports.py"
 
@@ -42,3 +46,51 @@ def test_unreadable_file_is_a_usage_error(tmp_path):
         assert run.returncode == 2 and run.stdout == ""
         assert run.stderr.startswith("same_reports: ") and "missing.jsonl" in run.stderr
         assert "Traceback" not in run.stderr
+
+
+BENCH_RECORD = Path(__file__).resolve().parents[1] / "tools" / "bench_record.py"
+
+
+def _bench_record():
+    spec = importlib.util.spec_from_file_location("bench_record", BENCH_RECORD)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _run_output(run_s, rss, failed=0):
+    # what perfbench/run.py prints for one workload: provenance, then result
+    info = {"nproc": 2, "python": "3.11.7", "commit": "abc", "src_digest": "d"}
+    result = {"correct": failed == 0, "attempted": 10, "failed": failed,
+              "metrics": {"run_s": {"value": run_s, "unit": "s"},
+                          "peak_rss_mb": {"value": rss, "unit": "MB"}}}
+    return f"notes on stdout\n{json.dumps(info)}\n{json.dumps(result)}\n"
+
+
+def test_bench_record_summarises_result_lines():
+    bench = _bench_record()
+    info, first = bench.read_run(_run_output(0.5, 22.5))
+    assert info["commit"] == "abc" and first["attempted"] == 10
+    runs = [first] + [bench.read_run(_run_output(run_s, 23.0, failed))[1]
+                      for run_s, failed in ((0.1, 0), (0.4, 1), (0.2, 0))]
+    summary = bench.summarise({"gamma-scale": runs}, ["run_s", "peak_rss_mb"])
+    assert summary == {"gamma-scale": {
+        "attempted": 40, "failed": 1,
+        # quantiles' default (exclusive) method on 0.1, 0.2, 0.4, 0.5
+        "run_s": {"median": pytest.approx(0.3),
+                  "quartiles": [pytest.approx(0.125), pytest.approx(0.3), pytest.approx(0.475)],
+                  "values": [0.5, 0.1, 0.4, 0.2]},
+        "peak_rss_mb": {"median": 23.0, "quartiles": [22.625, 23.0, 23.0],
+                        "values": [22.5, 23.0, 23.0, 23.0]},
+    }}
+    with pytest.raises(ValueError):
+        bench.read_run('{"correct": true}\n')
+
+
+@pytest.mark.parametrize("argv", [["--runs", "0"], ["--runs", "1"], ["--runs", "2", "--seconds", "0"]])
+def test_bench_record_usage_errors_exit_2(argv, tmp_path):
+    run = subprocess.run([sys.executable, str(BENCH_RECORD), "--tag", "x", *argv],
+                         capture_output=True, text=True, timeout=60, cwd=tmp_path)
+    assert run.returncode == 2 and run.stdout == ""
+    assert "bench_record.py: error:" in run.stderr
+    assert not (BENCH_RECORD.parents[1] / "BENCH_x.json").exists()
