@@ -14,20 +14,20 @@ properties.RULES:
   the fewest candidate dominators, the lowest such vertex on ties. The
   vertices are kept in tiers, one mask per candidate count, fewest first,
   so that vertex is the lowest undominated one in the first tier that holds
-  any. The tiers over all of V(g) are built once per graph with the closed
-  rows (_closed_rows); a find that may add fewer vertices builds its own on
-  first use. The predicate is induced-hereditary, so a partial set that
-  already lacks the property is pruned (sound: induced subgraphs of
-  supersets contain it). Every branch adds one vertex u to a set S that has
-  p, so the prune asks only whether S + u has p too, by the row's
-  one-vertex test (extends), which reads u's neighbours in S; a row without
-  one (I) prunes nothing. With one vertex left to add, the search branches
-  on the intersection of the undominated vertices' rows instead: rows are
-  symmetric, so it holds exactly the vertices that dominate them all, and
-  the lowest of them that extends S is what branching on one row returns.
+  any. A search builds the tiers for each mask of addable vertices on
+  first use and keeps them for its later finds. The predicate is
+  induced-hereditary, so a partial set that already lacks the property is
+  pruned (sound: induced subgraphs of supersets contain it). Every branch
+  adds one vertex u to a set S that has p, so the prune asks only whether
+  S + u has p too, by the row's one-vertex test (extends), which reads u's
+  neighbours in S; a row without one (I) prunes nothing. With one vertex
+  left to add, the search branches on the intersection of the undominated
+  vertices' rows instead: rows are symmetric, so it holds exactly the
+  vertices that dominate them all, and the lowest of them that extends S is
+  what branching on one row returns.
 * open: the same search over open neighborhoods, without a prune: a set
   whose open neighborhoods cover every vertex dominates and has no
-  isolated vertex (T). Its tiers over all of V(g) are built per search.
+  isolated vertex (T).
 * connected: pick the root options the same way, then grow the set along
   its frontier N(S) - S, each branch excluding the vertices tried before
   it (C). A vertex's gain is the number of undominated vertices its closed
@@ -63,8 +63,7 @@ Results are identical to cold runs. The value memo holds 16 * MEMO_SIZE =
 reuse almost none of them, so a larger bound would only grow each process.
 A search is cheap to build and almost every one answers a single value, so
 each query builds its own and drops it; only the closed neighborhoods it
-reads and their tiers are memoized, once per graph for every property
-(_closed_rows).
+reads are memoized, once per graph for every property (_closed_rows).
 Graphs and property descriptors hash once, at construction, so a memo
 lookup does not rebuild a key tuple.
 """
@@ -109,11 +108,11 @@ def _tiers(rows, allowed):
 
 
 @lru_cache(maxsize=MEMO_SIZE)
-def _closed_rows(g: Graph) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
-    """The closed neighborhoods of g, the largest one's size and their tiers
-    over all of V(g), shared by the searches of every property on g."""
+def _closed_rows(g: Graph) -> tuple[tuple[int, ...], int]:
+    """The closed neighborhoods of g and the largest one's size, shared by
+    the searches of every property on g."""
     closed = tuple([row | 1 << v for v, row in enumerate(g.adj)])
-    return closed, max(map(int.bit_count, closed), default=1), _tiers(closed, g.vertex_mask)
+    return closed, max(map(int.bit_count, closed), default=1)
 
 
 class _Search:
@@ -122,25 +121,24 @@ class _Search:
     The property's search form picks the search: "connected" grows a set
     along its frontier; "open" and "closed" run a cover search over open or
     closed neighborhoods, the latter pruned by the row's extends. Each find
-    sets `allowed` and its tiers afresh and keeps its memo local, so nothing
-    carries from one find to the next.
+    sets `allowed` afresh and keeps its memo local; only the tiers of each
+    `allowed` carry from one find to the next.
     """
 
     def __init__(self, g: Graph, p: PropertyDescriptor):
         self.g = g
         self.p = p
         self.full = g.vertex_mask
-        self.closed, self.max_closed, closed_tiers = _closed_rows(g)
+        self.closed, self.max_closed = _closed_rows(g)
         self.extends, self.search = p.rule.extends, p.rule.search
         if self.search == "open":
             # a dominating set without isolated vertices is a total dominating
             # set: every vertex, chosen ones included, needs a chosen neighbor
             adj = g.adj
             self.rows, self.max_row = adj, max(map(int.bit_count, adj), default=1)
-            self.full_tiers = _tiers(adj, self.full)
         else:
             self.rows, self.max_row = self.closed, self.max_closed
-            self.full_tiers = closed_tiers
+        self.tiers_by_allowed = {}
 
     def find(self, budget: int, base: VertexSet = 0, u: int | None = None,
              allowed: VertexSet | None = None) -> VertexSet | None:
@@ -152,10 +150,8 @@ class _Search:
         only u needs the prune's test.
         """
         start = base if u is None else base | 1 << u
-        if allowed is None:
-            self.allowed, self.tiers = self.full, self.full_tiers
-        else:
-            self.allowed, self.tiers = allowed, None  # built on first use
+        self.allowed = self.full if allowed is None else allowed
+        self.tiers = self.tiers_by_allowed.get(self.allowed)  # built on first use
         rows, cover, rest = self.rows, 0, start
         while rest:
             low = rest & -rest
@@ -173,7 +169,8 @@ class _Search:
         # so a nonempty uncovered meets one
         tiers = self.tiers
         if tiers is None:
-            tiers = self.tiers = _tiers(self.rows, self.allowed)
+            tiers = _tiers(self.rows, self.allowed)
+            self.tiers = self.tiers_by_allowed[self.allowed] = tiers
         for tier in tiers:
             hit = tier & uncovered
             if hit:
@@ -250,13 +247,9 @@ class _Search:
             options = self._fewest_candidates(undominated)  # avail is allowed here
         # every vertex added below lies in avail and dominates at most its
         # gain here, so the budget's largest gains must cover the rest
-        closed, ranked, rest = self.closed, [], avail
-        while rest:
-            low = rest & -rest
-            v = low.bit_length() - 1
-            ranked.append((-(closed[v] & undominated).bit_count(), v))
-            rest ^= low
-        ranked.sort()
+        closed = self.closed
+        ranked = sorted([(-(row & undominated).bit_count(), v)
+                         for v, row in enumerate(closed) if avail >> v & 1])
         if -sum([gain for gain, _ in ranked[:budget]]) < undominated.bit_count():
             return None
         # largest gains first. Any fixed order keeps the search exact: a
@@ -274,15 +267,13 @@ class _Search:
         # an undominated vertex at distance d from S needs a dominator at
         # distance d - 1, i.e. d - 1 more vertices: walk `budget` layers out
         # from S through addable vertices
-        closed, layer, seen = self.closed, frontier, frontier
+        layer, seen = frontier, frontier
         for _ in range(budget):
             if not layer:
                 return False
-            reach, rest = 0, layer
-            while rest:
-                low = rest & -rest
-                reach |= closed[low.bit_length() - 1]
-                rest ^= low
+            reach = 0
+            for v in iter_bits(layer):
+                reach |= self.closed[v]
             undominated &= ~reach
             if not undominated:
                 return True

@@ -87,10 +87,26 @@ def test_bench_record_summarises_result_lines():
         bench.read_run('{"correct": true}\n')
 
 
-@pytest.mark.parametrize("argv", [["--runs", "0"], ["--runs", "1"], ["--runs", "2", "--seconds", "0"]])
+@pytest.mark.parametrize("argv", [["--runs", "0"], ["--runs", "1"]])
 def test_bench_record_usage_errors_exit_2(argv, tmp_path):
     run = subprocess.run([sys.executable, str(BENCH_RECORD), "--tag", "x", *argv],
                          capture_output=True, text=True, timeout=60, cwd=tmp_path)
     assert run.returncode == 2 and run.stdout == ""
     assert "bench_record.py: error:" in run.stderr
     assert not (BENCH_RECORD.parents[1] / "BENCH_x.json").exists()
+
+
+def test_bench_record_refuses_src_that_differs_from_the_commit(tmp_path):
+    # a copy of the tool in a fresh repository whose src/ is not committed
+    (tmp_path / "tools").mkdir()
+    (tmp_path / "tools" / "bench_record.py").write_text(BENCH_RECORD.read_text())
+    (tmp_path / "BENCHMARK.json").write_text((BENCH_RECORD.parents[1] / "BENCHMARK.json").read_text())
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "x.py").write_text("")
+    subprocess.run(["git", "init", "-q"], cwd=tmp_path, check=True)
+    run = subprocess.run([sys.executable, str(tmp_path / "tools" / "bench_record.py"),
+                          "--tag", "x", "--runs", "2"],
+                         capture_output=True, text=True, timeout=60, cwd=tmp_path)
+    assert run.returncode == 1 and run.stdout == ""
+    assert run.stderr.startswith("bench_record: src/ differs from the commit")
+    assert not (tmp_path / "BENCH_x.json").exists()

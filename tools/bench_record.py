@@ -1,15 +1,16 @@
 #!/usr/bin/env python3
 """Record the benchmark's end-to-end metrics over several seeds.
 
-    python3 tools/bench_record.py --tag T --runs N [--seconds S]
+    python3 tools/bench_record.py --tag T --runs N
 
-Measures the checkout this file lives in. For each seed i < N and each
-workload W that BENCHMARK.json names, it runs the benchmark's command
-unchanged,
+Measures the checkout this file lives in, which must hold src/ as its
+commit has it, so that the commit the file names is the code it measured.
+For each seed i < N and each workload W that BENCHMARK.json names, it runs
+the benchmark's command unchanged, for BENCHMARK.json's run_seconds S,
 
     python3 perfbench/run.py --workload W --seed i --seconds S --trace 0
 
-(S defaults to BENCHMARK.json's run_seconds) and reads the result object on the last line of its output. It writes
+and reads the result object on the last line of its output. It writes
 BENCH_<T>.json at the checkout's root: per workload, the attempted and
 failed counts summed over the runs, and per end-to-end metric the median,
 the quartiles (statistics.quantiles, n=4) and the values in seed order;
@@ -17,7 +18,8 @@ plus the provenance: the commit and source digest the runs report, nproc,
 the Python version, the date, N and S.
 
 Exits 2 on a usage error (fewer than two runs, since quartiles need two
-values, or seconds not above 0) and 1 when a run fails or prints no result.
+values) and 1 when src/ differs from the commit, or a run fails or prints
+no result.
 """
 
 from __future__ import annotations
@@ -62,13 +64,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--tag", required=True, help="names the file BENCH_<tag>.json")
     parser.add_argument("--runs", type=int, required=True, help="seeds 0 .. runs-1, at least 2")
-    parser.add_argument("--seconds", type=float, default=spec["run_seconds"],
-                        help="run.py's --seconds (default: BENCHMARK.json's run_seconds)")
     args = parser.parse_args(argv)
     if args.runs < 2:
         parser.error("--runs must be at least 2")
-    if args.seconds <= 0:
-        parser.error("--seconds must be above 0")
+    changed = subprocess.run(["git", "status", "--porcelain", "--", "src"], cwd=ROOT,
+                             capture_output=True, text=True)
+    if changed.returncode != 0 or changed.stdout:
+        print("bench_record: src/ differs from the commit (or git failed); commit it "
+              f"and measure that checkout\n{changed.stdout}{changed.stderr}", file=sys.stderr)
+        return 1
+    seconds = spec["run_seconds"]
     workloads = [w["name"] for w in spec["workloads"]]
     metrics = [m["name"] for m in spec["end_to_end"]]
     results = {w: [] for w in workloads}
@@ -76,7 +81,7 @@ def main(argv: list[str] | None = None) -> int:
     for seed in range(args.runs):
         for workload in workloads:
             argv_run = [*spec["command"], "--workload", workload, "--seed", str(seed),
-                        "--seconds", str(args.seconds), "--trace", "0"]
+                        "--seconds", str(seconds), "--trace", "0"]
             proc = subprocess.run(argv_run, cwd=ROOT, capture_output=True, text=True)
             try:
                 info, result = read_run(proc.stdout)
@@ -97,7 +102,7 @@ def main(argv: list[str] | None = None) -> int:
         "provenance": {"commit": info["commit"], "src_digest": info["src_digest"],
                        "nproc": info["nproc"], "python": info["python"],
                        "date": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-                       "runs": args.runs, "seconds": args.seconds},
+                       "runs": args.runs, "seconds": seconds},
         "workloads": summarise(results, metrics),
     }
     out = ROOT / f"BENCH_{args.tag}.json"
