@@ -11,17 +11,12 @@ takes one of three forms, the search form of the property's row in
 properties.RULES:
 
 * closed: branch on the closed neighborhood of the undominated vertex with
-  the fewest candidate dominators, the lowest such vertex on ties. The
-  vertices are kept in tiers, one mask per candidate count, fewest first,
-  so that vertex is the lowest undominated one in the first tier that holds
-  any. A search builds the tiers for each mask of addable vertices on
-  first use and keeps them for its later finds. The predicate is
-  induced-hereditary, so a partial set that already lacks the property is
-  pruned (sound: induced subgraphs of supersets contain it). Every branch
-  adds one vertex u to a set S that has p, so the prune asks only whether
-  S + u has p too, by the row's one-vertex test (extends), which reads u's
-  neighbours in S; a row without one (I) prunes nothing. With one vertex
-  left to add, the search branches on the intersection of the undominated
+  the fewest candidate dominators. The predicate is induced-hereditary, so
+  a partial set that already lacks the property is pruned (sound: induced
+  subgraphs of supersets contain it). Every branch adds one vertex u to a
+  set S that has p, so the prune asks only whether S + u has p too, by the
+  row's one-vertex test (extends), which reads u's neighbours in S; a row
+  without one (I) prunes nothing. With one vertex left to add, the search branches on the intersection of the undominated
   vertices' rows instead: rows are symmetric, so it holds exactly the
   vertices that dominate them all, and the lowest of them that extends S is
   what branching on one row returns.
@@ -97,16 +92,6 @@ def is_dominating(g: Graph, S: VertexSet) -> bool:
     return cover == g.vertex_mask
 
 
-def _tiers(rows, allowed):
-    """The vertices grouped by how many candidates (row members) they have
-    in allowed, one mask per count, fewest first."""
-    by_count = {}
-    for v, row in enumerate(rows):
-        count = (row & allowed).bit_count()
-        by_count[count] = by_count.get(count, 0) | 1 << v
-    return tuple([by_count[count] for count in sorted(by_count)])
-
-
 @lru_cache(maxsize=MEMO_SIZE)
 def _closed_rows(g: Graph) -> tuple[tuple[int, ...], int]:
     """The closed neighborhoods of g and the largest one's size, shared by
@@ -121,8 +106,8 @@ class _Search:
     The property's search form picks the search: "connected" grows a set
     along its frontier; "open" and "closed" run a cover search over open or
     closed neighborhoods, the latter pruned by the row's extends. Each find
-    sets `allowed` afresh and keeps its memo local; only the tiers of each
-    `allowed` carry from one find to the next.
+    sets `allowed` afresh and keeps its memo local, so nothing carries from
+    one find to the next.
     """
 
     def __init__(self, g: Graph, p: PropertyDescriptor):
@@ -138,7 +123,6 @@ class _Search:
             self.rows, self.max_row = adj, max(map(int.bit_count, adj), default=1)
         else:
             self.rows, self.max_row = self.closed, self.max_closed
-        self.tiers_by_allowed = {}
 
     def find(self, budget: int, base: VertexSet = 0, u: int | None = None,
              allowed: VertexSet | None = None) -> VertexSet | None:
@@ -151,7 +135,6 @@ class _Search:
         """
         start = base if u is None else base | 1 << u
         self.allowed = self.full if allowed is None else allowed
-        self.tiers = self.tiers_by_allowed.get(self.allowed)  # built on first use
         rows, cover, rest = self.rows, 0, start
         while rest:
             low = rest & -rest
@@ -163,18 +146,19 @@ class _Search:
             return None
         return self._cover(start, cover, budget, {})
 
-    def _fewest_candidates(self, uncovered):
-        # the candidates in allowed of the lowest uncovered vertex among
-        # those that have the fewest of them; the tiers hold every vertex,
-        # so a nonempty uncovered meets one
-        tiers = self.tiers
-        if tiers is None:
-            tiers = _tiers(self.rows, self.allowed)
-            self.tiers = self.tiers_by_allowed[self.allowed] = tiers
-        for tier in tiers:
-            hit = tier & uncovered
-            if hit:
-                return self.rows[(hit & -hit).bit_length() - 1] & self.allowed
+    def _fewest_candidates(self, uncovered, avail):
+        # the candidates of the uncovered vertex that has the fewest of them
+        rows, best, fanout = self.rows, 0, self.g.n + 1
+        while uncovered:
+            low = uncovered & -uncovered
+            cand = rows[low.bit_length() - 1] & avail
+            size = cand.bit_count()
+            if size < fanout:
+                best, fanout = cand, size
+                if size <= 1:
+                    break
+            uncovered ^= low
+        return best
 
     def _cover(self, S, cover, budget, best_budget):
         # best_budget: the largest budget each set S failed with in this find
@@ -199,7 +183,7 @@ class _Search:
             if seen is not None and seen >= budget:
                 return None
             best_budget[S] = budget
-            cand = self._fewest_candidates(uncovered)
+            cand = self._fewest_candidates(uncovered, self.allowed)
         while cand:
             low = cand & -cand
             cand ^= low
@@ -244,7 +228,7 @@ class _Search:
             if undominated and not self._within_reach(undominated, options, avail, budget):
                 return None
         else:
-            options = self._fewest_candidates(undominated)  # avail is allowed here
+            options = self._fewest_candidates(undominated, avail)
         # every vertex added below lies in avail and dominates at most its
         # gain here, so the budget's largest gains must cover the rest
         closed = self.closed

@@ -441,8 +441,8 @@ COVER_FORMS = [ANY_GRAPH, EDGELESS, NO_ISOLATED, FOREST, CLIQUE_COMPONENTS,
 
 class TestCoverFormsAboveToySizes:
     """The closed and open cover searches (I, O, T, F, UK, D:1, D:2) on the
-    same G(n, 9n/4): the last vertex picked by intersecting rows, and the
-    tiers built for the narrowed `allowed` of the witness walk's probes."""
+    same G(n, 9n/4): the last vertex picked by intersecting rows, under
+    the narrowed `allowed` of the witness walk's probes too."""
 
     @pytest.mark.parametrize("g", TestConnectedAboveToySizes.GRAPHS, ids=lambda g: g.label)
     def test_matches_oracle(self, g):
