@@ -128,7 +128,10 @@ def _extends_forest(p, adj, S, u):
 #   holds(p, g, S | 1 << u) but reads only u's neighbours in S (for F, their
 #   trees); None where the search tests no partial set.
 # * search: the form of the dominating-set search (see solver): "closed" for
-#   an induced-hereditary p, "open" for T, "connected" for C.
+#   an induced-hereditary p that every edgeless graph has, so every graph
+#   has a dominating p-set (a maximal independent set); "open" for T and
+#   "connected" for C, where one exists iff V(g) is one, since adding a
+#   dominated vertex keeps a total or connected dominating set one.
 Rule = namedtuple("Rule", "holds extends search")
 
 

@@ -2,24 +2,24 @@
 
 gamma(g, p) is the smallest cardinality of a set S that dominates g while
 the subgraph induced by S has property p; it is None (undefined) when no
-such set exists, which can only happen for properties that are not
-nondegenerate (e.g. "connected" on a disconnected graph).
+such set exists, which the search form of p's row in properties.RULES
+settles before any search (see properties.Rule).
 
 The value comes from iterative deepening over the target cardinality, from
-ceil(n / (max degree + 1)) up. Each depth-limited search (_Search.find)
-takes one of three forms, the search form of the property's row in
-properties.RULES:
+ceil(n / r) up, r the largest row the form covers with (closed or, for T,
+open neighborhoods). Each depth-limited search (_Search.find) takes one of
+three forms:
 
 * closed: branch on the closed neighborhood of the undominated vertex with
-  the fewest candidate dominators. The predicate is induced-hereditary, so
-  a partial set that already lacks the property is pruned (sound: induced
-  subgraphs of supersets contain it). Every branch adds one vertex u to a
-  set S that has p, so the prune asks only whether S + u has p too, by the
-  row's one-vertex test (extends), which reads u's neighbours in S; a row
-  without one (I) prunes nothing. With one vertex left to add, the search branches on the intersection of the undominated
-  vertices' rows instead: rows are symmetric, so it holds exactly the
-  vertices that dominate them all, and the lowest of them that extends S is
-  what branching on one row returns.
+  the fewest candidate dominators. The predicate is induced-hereditary, so a
+  partial set that already lacks the property is pruned (sound: induced
+  subgraphs of supersets contain it). Every branch adds one vertex u to a set
+  S that has p, so the prune asks only whether S + u has p too, by the row's
+  one-vertex test (extends), which reads u's neighbours in S; a row without
+  one (I) prunes nothing. With one vertex left to add, the search branches on
+  the intersection of the undominated vertices' rows instead: rows are
+  symmetric, so it holds exactly the vertices that dominate them all, and the
+  lowest of them that extends S is what branching on one row returns.
 * open: the same search over open neighborhoods, without a prune: a set
   whose open neighborhoods cover every vertex dominates and has no
   isolated vertex (T).
@@ -114,15 +114,12 @@ class _Search:
         self.g = g
         self.p = p
         self.full = g.vertex_mask
-        self.closed, self.max_closed = _closed_rows(g)
-        self.extends, self.search = p.rule.extends, p.rule.search
+        self.closed, self.max_row = _closed_rows(g)
+        self.rows, self.extends, self.search = self.closed, p.rule.extends, p.rule.search
         if self.search == "open":
             # a dominating set without isolated vertices is a total dominating
             # set: every vertex, chosen ones included, needs a chosen neighbor
-            adj = g.adj
-            self.rows, self.max_row = adj, max(map(int.bit_count, adj), default=1)
-        else:
-            self.rows, self.max_row = self.closed, self.max_closed
+            self.rows, self.max_row = g.adj, max(map(int.bit_count, g.adj), default=1)
 
     def find(self, budget: int, base: VertexSet = 0, u: int | None = None,
              allowed: VertexSet | None = None) -> VertexSet | None:
@@ -271,11 +268,10 @@ class _Search:
 # at most 325 distinct (graph, property) values, for Flknw.
 @lru_cache(maxsize=16 * MEMO_SIZE)
 def _gamma_value(g: Graph, p: PropertyDescriptor) -> int | None:
-    if g.n == 0:
-        return 0 if holds_induced(p, g, 0) else None
+    if p.rule.search != "closed" and not holds_induced(p, g, g.vertex_mask):
+        return None
     search = _Search(g, p)
-    floor = max(1, -(-g.n // search.max_closed))
-    for k in range(floor, g.n + 1):
+    for k in range(-(-g.n // search.max_row), g.n + 1):
         if search.find(k) is not None:
             return k
     return None

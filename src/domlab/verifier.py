@@ -27,18 +27,19 @@ that runs every selected (check, property) pair on it, and that task is the
 only place that picks the edges a per-edge check visits. Every per-edge
 value a suite compares is invariant under automorphisms of g, so a check
 has a hit at an edge exactly when it has one at the edge's image. A check
-therefore runs on the least edge of each ordered edge orbit
-(canon.edge_orbit_representatives): no hit there means no hit on any edge.
-When that run has a hit the check runs again on every edge and that run is
-reported, so violation records name the same labelled edges and minimum
-sets, in the same order, as a run on every edge. The orbits are ordered
-(an automorphism maps u to x and v to y, for edges (u, v) and (x, y) with
-u < v and x < y) because condition (ii) of Theorem 1 reads the endpoint
-with the smaller label first: an automorphism that maps u to y and v to x
-need not keep it, and with unordered orbits the literal-(iii) COR2-iff run
-misses violations. Graph-level checks and scans run once per graph; a scan
-visits every edge it needs itself, since scans hit often and a rerun would
-double their cost.
+therefore walks g.edges() once, asking an edge only if it is the least of
+its ordered edge orbit (canon.edge_orbit_representatives) or an earlier
+edge hit. The edges are sorted, so a skipped edge's representative was
+asked before it without a hit: the first hit is on a representative, and
+from it on every edge is asked. Records name the same labelled edges and
+minimum sets, in the same order, as a run on every edge, and no (check,
+edge) pair is asked twice. The orbits are ordered (an automorphism maps
+u to x and v to y, for edges (u, v) and (x, y) with u < v and x < y)
+because condition (ii) of Theorem 1 reads the endpoint with the smaller
+label first: an automorphism that maps u to y and v to x need not keep
+it, and with unordered orbits the literal-(iii) COR2-iff run misses
+violations. Graph-level checks and scans run once per graph; a scan visits
+every edge it needs itself.
 
 With jobs > 1 the tasks run on a process pool of at most one worker per
 graph and are merged back in corpus order.
@@ -365,8 +366,7 @@ def _check_graph(pairs, options: VerifyOptions, g: Graph):
     """One task: (hits, seconds) of each (check id, property) pair on g. A
     check id names a per-graph suite or a scan assertion. The task writes
     each finding into a hit record, with g's graph6 computed once if at all.
-    The only loop over g's edges for a suite, orbit representatives first
-    (see the module docstring)."""
+    The one pass over g's edges for a suite (see the module docstring)."""
     out, reps, g6 = [], None, None
     for check_id, p in pairs:
         started = time.perf_counter()
@@ -376,10 +376,11 @@ def _check_graph(pairs, options: VerifyOptions, g: Graph):
             found = [({}, f) for f in check(g, p, options)]
         else:
             if reps is None:
-                edges, reps = g.edges(), edge_orbit_representatives(g)
-            found = [({"edge": list(e)}, f) for e in reps for f in check(g, p, options, e)]
-            if found and reps != edges:
-                found = [({"edge": list(e)}, f) for e in edges for f in check(g, p, options, e)]
+                edges, reps = g.edges(), set(edge_orbit_representatives(g))
+            found = []
+            for e in edges:
+                if found or e in reps:
+                    found += [({"edge": list(e)}, f) for f in check(g, p, options, e)]
         if found and g6 is None:
             g6 = to_graph6(g)
         hits = [{"graph6": g6, **at, **f} for at, f in found]

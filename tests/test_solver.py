@@ -485,6 +485,50 @@ class TestCoverFormsAboveToySizes:
             assert calls["find"] <= 0.9 * finds, (key, calls)
 
 
+class TestDefinedBySearchForm:
+    """Under the open and connected forms gamma is defined iff V(g) is a
+    dominating p-set, which is asked before any search; the closed forms
+    always have one. The open form's floor counts open neighborhoods."""
+
+    @pytest.fixture
+    def finds(self, monkeypatch):
+        calls = []
+        real = solver._Search.find
+        monkeypatch.setattr(solver._Search, "find",
+                            lambda self, *args, **kwargs:
+                            calls.append(args) or real(self, *args, **kwargs))
+        clear_solver_memos()
+        return calls
+
+    def test_undefined_gamma_runs_no_find(self, finds):
+        # disconnected, with one isolated vertex: the search that found an
+        # undefined gamma by failing every depth ran 36 finds under C
+        g = seeded_gnm(40, 90, 1)
+        assert len(components(g)) == 2 and g.adj.count(0) == 1
+        path_and_k1 = Graph.from_edges(4, [(0, 1), (1, 2)])
+        for h, p in ((g, CONNECTED), (TWO_K2, CONNECTED), (g, NO_ISOLATED),
+                     (path_and_k1, NO_ISOLATED), (Graph(5, (0,) * 5), NO_ISOLATED)):
+            assert gamma(h, p) == GammaResult(None, None), (h.label, p.key)
+        assert finds == []
+
+    @pytest.mark.parametrize("n", (16, 20, 24))
+    def test_total_paths_and_cycles_take_one_value_find(self, finds, n):
+        # gamma_t = n / 2 for n divisible by 4, and every open row has at
+        # most two vertices, so the first depth tried is the answer
+        for g in (path(n), cycle(n)):
+            finds.clear()
+            assert gamma_value(g, NO_ISOLATED) == n // 2
+            assert len(finds) == 1, (g.label, finds)
+
+    def test_empty_graph(self):
+        empty = Graph(0, ())
+        for p in (ANY_GRAPH, EDGELESS, FOREST, CLIQUE_COMPONENTS, max_degree(1),
+                  max_degree(2)):
+            assert gamma(empty, p) == GammaResult(0, 0), p.key
+        for p in (CONNECTED, NO_ISOLATED):
+            assert gamma(empty, p) == GammaResult(None, None), p.key
+
+
 class TestClosedFormsBeyondOracle:
     """Known values on paths and cycles above the oracle's n <= 20 cap."""
 

@@ -58,11 +58,12 @@ def _bench_record():
     return module
 
 
-def _run_output(run_s, rss, failed=0):
+def _run_output(run_s, rss, failed=0, work=100.0, commit="abc"):
     # what perfbench/run.py prints for one workload: provenance, then result
-    info = {"nproc": 2, "python": "3.11.7", "commit": "abc", "src_digest": "d"}
+    info = {"nproc": 2, "python": "3.11.7", "commit": commit, "src_digest": "d"}
     result = {"correct": failed == 0, "attempted": 10, "failed": failed,
               "metrics": {"run_s": {"value": run_s, "unit": "s"},
+                          "work_per_s": {"value": work, "unit": "1/s"},
                           "peak_rss_mb": {"value": rss, "unit": "MB"}}}
     return f"notes on stdout\n{json.dumps(info)}\n{json.dumps(result)}\n"
 
@@ -87,7 +88,37 @@ def test_bench_record_summarises_result_lines():
         bench.read_run('{"correct": true}\n')
 
 
-@pytest.mark.parametrize("argv", [["--runs", "0"], ["--runs", "1"]])
+def test_bench_record_pairs_the_sides_and_counts_the_change_wins():
+    bench = _bench_record()
+    run_s = {"parent": [0.5, 0.4, 0.6, 0.5], "change": [0.4, 0.4, 0.5, 0.7]}
+    calls = []
+
+    def run(side, workload, seed):
+        calls.append((seed, workload, side))
+        value = run_s[side][seed]
+        return _run_output(value, 23.0, work=10 / value, commit=side)
+
+    info, results = bench.measure(run, 4, ["a", "b"])
+    # every seed runs both sides back to back, the parent first on even seeds
+    assert calls == [(seed, w, side) for seed in range(4) for w in "ab"
+                     for side in (("parent", "change"), ("change", "parent"))[seed % 2]]
+    assert {side: info[side]["commit"] for side in info} == {"parent": "parent",
+                                                             "change": "change"}
+    for side in run_s:
+        for w in "ab":
+            assert [r["metrics"]["run_s"]["value"] for r in results[side][w]] == run_s[side]
+    end_to_end = [{"name": "run_s", "better": "lower"}, {"name": "work_per_s", "better": "higher"},
+                  {"name": "peak_rss_mb", "better": "lower"}]
+    # the change is better on seeds 0 and 2, ties on seed 1 and equal RSS
+    # win nothing
+    assert bench.change_wins(results["parent"], results["change"], end_to_end) == {
+        w: {"run_s": 2, "work_per_s": 2, "peak_rss_mb": 0} for w in "ab"}
+    with pytest.raises(bench.RunFailed, match="change a seed 1: no result line"):
+        bench.measure(lambda side, w, seed: "" if seed else _run_output(0.1, 1.0), 2, ["a"])
+
+
+@pytest.mark.parametrize("argv", [["--runs", "0", "--parent", "."],
+                                  ["--runs", "1", "--parent", "."], ["--runs", "2"]])
 def test_bench_record_usage_errors_exit_2(argv, tmp_path):
     run = subprocess.run([sys.executable, str(BENCH_RECORD), "--tag", "x", *argv],
                          capture_output=True, text=True, timeout=60, cwd=tmp_path)
@@ -96,17 +127,31 @@ def test_bench_record_usage_errors_exit_2(argv, tmp_path):
     assert not (BENCH_RECORD.parents[1] / "BENCH_x.json").exists()
 
 
-def test_bench_record_refuses_src_that_differs_from_the_commit(tmp_path):
-    # a copy of the tool in a fresh repository whose src/ is not committed
-    (tmp_path / "tools").mkdir()
-    (tmp_path / "tools" / "bench_record.py").write_text(BENCH_RECORD.read_text())
-    (tmp_path / "BENCHMARK.json").write_text((BENCH_RECORD.parents[1] / "BENCHMARK.json").read_text())
-    (tmp_path / "src").mkdir()
-    (tmp_path / "src" / "x.py").write_text("")
-    subprocess.run(["git", "init", "-q"], cwd=tmp_path, check=True)
-    run = subprocess.run([sys.executable, str(tmp_path / "tools" / "bench_record.py"),
-                          "--tag", "x", "--runs", "2"],
+def _git_checkout(where, commit_src):
+    # a repository with a src/, committed or not
+    (where / "src").mkdir(parents=True)
+    (where / "src" / "x.py").write_text("")
+    subprocess.run(["git", "init", "-q"], cwd=where, check=True)
+    if commit_src:
+        subprocess.run(["git", "add", "src"], cwd=where, check=True)
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", "commit", "-qm", "s"],
+                       cwd=where, check=True)
+
+
+@pytest.mark.parametrize("dirty", ["change", "parent"])
+def test_bench_record_refuses_src_that_differs_from_the_commit(dirty, tmp_path):
+    # a copy of the tool in a fresh repository, measured against another;
+    # the one named `dirty` has a src/ that is not committed
+    change, parent = tmp_path / "change", tmp_path / "parent"
+    _git_checkout(change, dirty != "change")
+    _git_checkout(parent, dirty != "parent")
+    (change / "tools").mkdir()
+    (change / "tools" / "bench_record.py").write_text(BENCH_RECORD.read_text())
+    (change / "BENCHMARK.json").write_text((BENCH_RECORD.parents[1] / "BENCHMARK.json").read_text())
+    run = subprocess.run([sys.executable, str(change / "tools" / "bench_record.py"),
+                          "--tag", "x", "--runs", "2", "--parent", str(parent)],
                          capture_output=True, text=True, timeout=60, cwd=tmp_path)
     assert run.returncode == 1 and run.stdout == ""
-    assert run.stderr.startswith("bench_record: src/ differs from the commit")
-    assert not (tmp_path / "BENCH_x.json").exists()
+    assert run.stderr.startswith(f"bench_record: the {dirty}'s src/ at ")
+    assert not (change / "BENCH_x.json").exists()
+    assert not list(tmp_path.rglob("__pycache__"))  # nothing was compiled or run

@@ -398,9 +398,10 @@ class TestPerGraphLoop:
         g6 = to_graph6(diamond)
         assert report.violations == [{"graph6": g6, "edge": [1, 2]},
                                      {"graph6": g6, "edge": [2, 3]}]
-        # K3 is one orbit and has no hit; the diamond's representatives have
-        # one, so it runs again on every edge
-        assert asked == [(0, 1), (0, 1), (0, 2), (1, 2), *diamond.edges()]
+        # K3 is one orbit and has no hit; the diamond's (0, 3) is skipped, as
+        # its representative (0, 1) has no hit, and every edge from the first
+        # hit at (1, 2) on is asked
+        assert asked == [(0, 1), (0, 1), (0, 2), (1, 2), (2, 3)]
 
     def test_per_edge_check_gets_one_edge_per_call(self, monkeypatch):
         from domlab import verifier
@@ -418,9 +419,46 @@ class TestPerGraphLoop:
         [report] = run_suites(["TEST-edge"], [ANY_GRAPH], [diamond])
         assert report.violations == [
             {"graph6": to_graph6(diamond), "edge": [0, 2], "detail": "probe"}]
-        # the representatives first, then, after their hit, every edge in order
-        assert asked == [(0, 1), (0, 2), (1, 2),
-                         (0, 1), (0, 2), (0, 3), (1, 2), (2, 3)]
+        # one pass: the representatives up to the hit, then every edge
+        assert asked == [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)]
+
+    def test_one_pass_asks_each_edge_at_most_once(self, monkeypatch):
+        # a probe that hits at one chosen edge per graph, the i-th for each
+        # i in turn: it is asked no edge twice, and before its first hit
+        # only representatives
+        from domlab import verifier
+
+        corpus = load_corpus("n6all")
+        chosen, asked = {}, {}
+
+        def probe(g, p, options, e):
+            asked.setdefault(to_graph6(g), []).append(e)
+            if e == chosen[to_graph6(g)]:
+                yield {}
+
+        monkeypatch.setitem(SUITES, "TEST-once",
+                            verifier._Suite("test-statement", lambda p: None, probe))
+        for i in range(max(g.edge_count() for g in corpus)):
+            graphs = [g for g in corpus if g.edge_count() > i]
+            chosen.clear()
+            chosen.update((to_graph6(g), g.edges()[i]) for g in graphs)
+            asked.clear()
+            [report] = run_suites(["TEST-once"], [ANY_GRAPH], graphs)
+            reported = []
+            for g in graphs:
+                g6, reps = to_graph6(g), ordered_edge_orbit_representatives(g)
+                seq, hit = asked[g6], chosen[g6]
+                assert len(seq) == len(set(seq)), (g6, seq)
+                first = seq.index(hit) if hit in seq else len(seq)
+                assert set(seq[:first]) <= set(reps), (g6, seq)
+                # the probe is not invariant under automorphisms, so a hit
+                # off the representatives goes unasked; one on them is asked,
+                # and so is every edge after it
+                assert (hit in seq) == (hit in reps), (g6, seq)
+                if hit in seq:
+                    assert seq[first:] == g.edges()[i:], (g6, seq)
+                    reported.append({"graph6": g6, "edge": list(hit)})
+            assert report.violations == reported
 
     def test_graph_level_check_runs_once_per_graph_and_property(self, monkeypatch):
         from domlab import verifier
@@ -443,8 +481,8 @@ class TestPerGraphLoop:
         from domlab import verifier
 
         diamond = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])
-        # P3's ordered orbits are its two edges, so its representative run is
-        # reported; the diamond's hit is reported from the rerun on every edge
+        # P3's ordered orbits are its two edges; the diamond's first edge is
+        # a representative with a hit, so every edge after it is asked
         assert ordered_edge_orbit_representatives(path(3)) == path(3).edges()
         hitting = [path(3), diamond]
 
