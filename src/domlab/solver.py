@@ -11,15 +11,15 @@ open neighborhoods). Each depth-limited search (_Search.find) takes one of
 three forms:
 
 * closed: branch on the closed neighborhood of the undominated vertex with
-  the fewest candidate dominators. The predicate is induced-hereditary, so a
-  partial set that already lacks the property is pruned (sound: induced
-  subgraphs of supersets contain it). Every branch adds one vertex u to a set
-  S that has p, so the prune asks only whether S + u has p too, by the row's
-  one-vertex test (extends), which reads u's neighbours in S; a row without
-  one (I) prunes nothing. With one vertex left to add, the search branches on
-  the intersection of the undominated vertices' rows instead: rows are
-  symmetric, so it holds exactly the vertices that dominate them all, and the
-  lowest of them that extends S is what branching on one row returns.
+  the fewest candidate dominators. The predicate is induced-hereditary, so
+  a partial set that already lacks the property is pruned (sound: induced
+  subgraphs of supersets contain it). Every branch adds one vertex u to a
+  set S that has p, so the prune asks only whether S + u has p too, by the
+  row's one-vertex test (extends), which reads u's neighbours in S; a row
+  without one (I) prunes nothing. With one vertex left to add, the search branches on the intersection of the undominated
+  vertices' rows instead: rows are symmetric, so it holds exactly the
+  vertices that dominate them all, and the lowest of them that extends S is
+  what branching on one row returns.
 * open: the same search over open neighborhoods, without a prune: a set
   whose open neighborhoods cover every vertex dominates and has no
   isolated vertex (T).

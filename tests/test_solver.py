@@ -102,6 +102,10 @@ class TestGamma:
         assert gamma(empty, ANY_GRAPH).value == 0
         assert gamma(empty, ANY_GRAPH).witness == 0
         assert gamma(empty, CONNECTED).value is None
+        # the closed forms' first depth is 0; C and T reject the empty set
+        for p in ALL_PROPS:
+            expected = (None, None) if p in (CONNECTED, NO_ISOLATED) else (0, 0)
+            assert gamma(empty, p) == GammaResult(*expected), p.key
 
     def test_witness_is_lex_least(self):
         # C4 has six minimum dominating sets; {0,1} is lexicographically first
@@ -519,14 +523,6 @@ class TestDefinedBySearchForm:
             finds.clear()
             assert gamma_value(g, NO_ISOLATED) == n // 2
             assert len(finds) == 1, (g.label, finds)
-
-    def test_empty_graph(self):
-        empty = Graph(0, ())
-        for p in (ANY_GRAPH, EDGELESS, FOREST, CLIQUE_COMPONENTS, max_degree(1),
-                  max_degree(2)):
-            assert gamma(empty, p) == GammaResult(0, 0), p.key
-        for p in (CONNECTED, NO_ISOLATED):
-            assert gamma(empty, p) == GammaResult(None, None), p.key
 
 
 class TestClosedFormsBeyondOracle:

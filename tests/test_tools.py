@@ -138,20 +138,21 @@ def _git_checkout(where, commit_src):
                        cwd=where, check=True)
 
 
-@pytest.mark.parametrize("dirty", ["change", "parent"])
-def test_bench_record_refuses_src_that_differs_from_the_commit(dirty, tmp_path):
+def test_bench_record_refuses_src_that_differs_from_the_commit(tmp_path):
     # a copy of the tool in a fresh repository, measured against another;
-    # the one named `dirty` has a src/ that is not committed
-    change, parent = tmp_path / "change", tmp_path / "parent"
-    _git_checkout(change, dirty != "change")
-    _git_checkout(parent, dirty != "parent")
-    (change / "tools").mkdir()
-    (change / "tools" / "bench_record.py").write_text(BENCH_RECORD.read_text())
-    (change / "BENCHMARK.json").write_text((BENCH_RECORD.parents[1] / "BENCHMARK.json").read_text())
-    run = subprocess.run([sys.executable, str(change / "tools" / "bench_record.py"),
-                          "--tag", "x", "--runs", "2", "--parent", str(parent)],
-                         capture_output=True, text=True, timeout=60, cwd=tmp_path)
-    assert run.returncode == 1 and run.stdout == ""
-    assert run.stderr.startswith(f"bench_record: the {dirty}'s src/ at ")
-    assert not (change / "BENCH_x.json").exists()
+    # on the side named `dirty`, src/ is not committed
+    for dirty in ("change", "parent"):
+        change, parent = tmp_path / dirty / "change", tmp_path / dirty / "parent"
+        _git_checkout(change, dirty != "change")
+        _git_checkout(parent, dirty != "parent")
+        (change / "tools").mkdir()
+        (change / "tools" / "bench_record.py").write_text(BENCH_RECORD.read_text())
+        (change / "BENCHMARK.json").write_text(
+            (BENCH_RECORD.parents[1] / "BENCHMARK.json").read_text())
+        run = subprocess.run([sys.executable, str(change / "tools" / "bench_record.py"),
+                              "--tag", "x", "--runs", "2", "--parent", str(parent)],
+                             capture_output=True, text=True, timeout=60, cwd=tmp_path)
+        assert run.returncode == 1 and run.stdout == ""
+        assert run.stderr.startswith(f"bench_record: the {dirty}'s src/ at ")
+        assert not (change / "BENCH_x.json").exists()
     assert not list(tmp_path.rglob("__pycache__"))  # nothing was compiled or run

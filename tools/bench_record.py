@@ -53,28 +53,24 @@ def read_run(stdout: str) -> tuple[dict, dict]:
     return json.loads(lines[-2]), json.loads(lines[-1])
 
 
-def pairs(runs: int, workloads: list[str]):
-    """(seed, workload, sides in run order): the parent first on even seeds."""
-    for seed in range(runs):
-        for workload in workloads:
-            yield seed, workload, (("parent", "change") if seed % 2 == 0
-                                   else ("change", "parent"))
-
-
 def measure(run, runs: int, workloads: list[str]) -> tuple[dict, dict]:
     """Per side, its last provenance and per workload its result objects in
-    seed order. run(side, workload, seed) returns the stdout of one run."""
+    seed order. run(side, workload, seed) returns the stdout of one run; the
+    two sides of a seed and workload run back to back, the parent first on
+    even seeds."""
     info, results = {}, {side: {w: [] for w in workloads} for side in ("parent", "change")}
-    for seed, workload, order in pairs(runs, workloads):
-        for side in order:
-            try:
-                info[side], result = read_run(run(side, workload, seed))
-            except ValueError as exc:  # json's decode error is a ValueError too
-                raise RunFailed(f"{side} {workload} seed {seed}: {exc}") from exc
-            results[side][workload].append(result)
-            print(f"bench_record: {side} {workload} seed {seed}: run_s "
-                  f"{result['metrics']['run_s']['value']:.4f}, correct {result['correct']}",
-                  file=sys.stderr)
+    for seed in range(runs):
+        order = ("parent", "change") if seed % 2 == 0 else ("change", "parent")
+        for workload in workloads:
+            for side in order:
+                try:
+                    info[side], result = read_run(run(side, workload, seed))
+                except ValueError as exc:  # json's decode error is a ValueError too
+                    raise RunFailed(f"{side} {workload} seed {seed}: {exc}") from exc
+                results[side][workload].append(result)
+                print(f"bench_record: {side} {workload} seed {seed}: run_s "
+                      f"{result['metrics']['run_s']['value']:.4f}, correct {result['correct']}",
+                      file=sys.stderr)
     return info, results
 
 
