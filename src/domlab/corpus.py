@@ -88,10 +88,13 @@ def resolve_corpus(spec: str, skip_bad: bool = False) -> list[Graph]:
     elif rest == "-":
         text, source = sys.stdin.read(), "<stdin>"
     else:
+        # open the path whatever it is, so a pipe such as <(...) reads too;
+        # an OSError other than a missing file keeps its own message
         path = Path(rest)
-        if not path.is_file():
-            raise CorpusError(f"input file {path} not found")
-        text, source = path.read_text(), str(path)
+        try:
+            text, source = path.read_text(), str(path)
+        except FileNotFoundError:
+            raise CorpusError(f"input file {path} not found") from None
     if kind == "edges":
         return [parse_edge_list(text).relabel(source)]
     return list(iter_graph6_lines(text, source=source, skip_bad=skip_bad))

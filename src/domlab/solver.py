@@ -16,10 +16,11 @@ three forms:
   subgraphs of supersets contain it). Every branch adds one vertex u to a
   set S that has p, so the prune asks only whether S + u has p too, by the
   row's one-vertex test (extends), which reads u's neighbours in S; a row
-  without one (I) prunes nothing. With one vertex left to add, the search branches on the intersection of the undominated
-  vertices' rows instead: rows are symmetric, so it holds exactly the
-  vertices that dominate them all, and the lowest of them that extends S is
-  what branching on one row returns.
+  without one (I) prunes nothing. With one vertex left to add, the search
+  branches on the intersection of the undominated vertices' rows instead:
+  rows are symmetric, so it holds exactly the vertices that dominate them
+  all, and the lowest of them that extends S is what branching on one row
+  returns.
 * open: the same search over open neighborhoods, without a prune: a set
   whose open neighborhoods cover every vertex dominates and has no
   isolated vertex (T).
@@ -30,7 +31,11 @@ three forms:
   vertex id. A node is cut when the budget's largest gains among the
   addable vertices sum to fewer than the undominated vertices, or when one
   of those lies at distance d from S with d - 1 > budget, since it needs
-  d - 1 more vertices.
+  d - 1 more vertices. With one vertex left to add to a non-empty S, the
+  search neither walks distances nor ranks gains: it returns S plus the
+  lowest frontier vertex that lies in the row of every undominated vertex
+  and joins S into one component (forced members may be disconnected).
+  Callers ask only whether a set exists, so any accepted set will do.
 
 find takes a forced start set, given as a set it accepted before plus one
 vertex u, and a mask of the vertices it may add; the prune tests only u
@@ -220,17 +225,36 @@ class _Search:
             return None
         undominated = self.full & ~dom
         avail = self.allowed & ~excluded & ~S
+        closed = self.closed
         if S:
             options = dom & avail  # the frontier N(S) \ S
+            if budget == 1:
+                # rows are symmetric, so the last vertex lies in the row of
+                # every undominated vertex; it must still join the forced
+                # members, which may be disconnected, into one component
+                while undominated and options:
+                    low = undominated & -undominated
+                    options &= closed[low.bit_length() - 1]
+                    undominated ^= low
+                while options:
+                    low = options & -options
+                    options ^= low
+                    if len(components_within(self.g, S | low)) == 1:
+                        return S | low
+                return None
             if undominated and not self._within_reach(undominated, options, avail, budget):
                 return None
         else:
             options = self._fewest_candidates(undominated, avail)
         # every vertex added below lies in avail and dominates at most its
         # gain here, so the budget's largest gains must cover the rest
-        closed = self.closed
-        ranked = sorted([(-(row & undominated).bit_count(), v)
-                         for v, row in enumerate(closed) if avail >> v & 1])
+        ranked, rest = [], avail
+        while rest:
+            low = rest & -rest
+            v = low.bit_length() - 1
+            ranked.append((-(closed[v] & undominated).bit_count(), v))
+            rest ^= low
+        ranked.sort()
         if -sum([gain for gain, _ in ranked[:budget]]) < undominated.bit_count():
             return None
         # largest gains first. Any fixed order keeps the search exact: a
@@ -248,13 +272,15 @@ class _Search:
         # an undominated vertex at distance d from S needs a dominator at
         # distance d - 1, i.e. d - 1 more vertices: walk `budget` layers out
         # from S through addable vertices
-        layer, seen = frontier, frontier
+        closed, layer, seen = self.closed, frontier, frontier
         for _ in range(budget):
             if not layer:
                 return False
             reach = 0
-            for v in iter_bits(layer):
-                reach |= self.closed[v]
+            while layer:
+                low = layer & -layer
+                reach |= closed[low.bit_length() - 1]
+                layer ^= low
             undominated &= ~reach
             if not undominated:
                 return True

@@ -88,6 +88,11 @@ class TestGamma:
                                "--input", "g6:/nonexistent.g6")
         assert code == 2 and "not found" in err
 
+    def test_directory_exits_2_with_its_own_message(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "gamma", "--property", "I",
+                               "--input", f"g6:{tmp_path}")
+        assert code == 2 and "Is a directory" in err and "not found" not in err
+
     def test_parse_error_exits_2(self, capsys, tmp_path):
         f = tmp_path / "bad.g6"
         f.write_text("A_\n~x\n")

@@ -1,5 +1,8 @@
 """Bundled corpora, corpus resolution, and the env-var override."""
 
+import os
+import threading
+
 import pytest
 
 from domlab import CorpusError, load_corpus, resolve_corpus, to_graph6
@@ -77,6 +80,26 @@ def test_resolve_bad_specs(tmp_path):
         resolve_corpus("zip:thing")
     with pytest.raises(CorpusError):
         resolve_corpus(f"g6:{tmp_path / 'absent.g6'}")
+
+
+def test_resolve_reads_a_pipe(tmp_path):
+    # what a shell's <(...) hands over: a path that is not a regular file
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_text, args=("Bw\n",))
+    writer.start()
+    try:
+        assert [to_graph6(g) for g in resolve_corpus(f"g6:{fifo}")] == ["Bw"]
+    finally:
+        # a reader that comes and goes frees a writer still waiting for one
+        os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+        writer.join()
+
+
+def test_resolve_directory_keeps_its_own_error(tmp_path):
+    for kind in ("g6", "edges"):
+        with pytest.raises(IsADirectoryError):
+            resolve_corpus(f"{kind}:{tmp_path}")
 
 
 def test_iter_graph6_lines_errors_carry_line_numbers():

@@ -438,6 +438,47 @@ class TestConnectedAboveToySizes:
             gamma(seeded_gnm(28, 63, f"connected nodes #{i}"), CONNECTED)
         assert len(calls) <= 71_812 // 2
 
+    def test_last_vertex_is_taken_without_branching(self, monkeypatch):
+        # at budget 1 the last vertex comes from intersecting rows, so only
+        # a find asked at budget 0 reaches it; branching on the frontier
+        # made 453 calls at budget 0 on these five graphs
+        budgets = {"find": [], "_connected": []}
+
+        def counted(name, at):
+            real = getattr(solver._Search, name)
+            return lambda self, *args: budgets[name].append(args[at]) or real(self, *args)
+
+        monkeypatch.setattr(solver._Search, "find", counted("find", 0))
+        monkeypatch.setattr(solver._Search, "_connected", counted("_connected", 3))
+        clear_solver_memos()
+        for i in range(5):
+            gamma(seeded_gnm(28, 63, f"connected nodes #{i}"), CONNECTED)
+        assert budgets["_connected"].count(0) == budgets["find"].count(0) < 453
+
+    FIND_GRAPHS = [g for n in range(9, 13) for g in itertools.islice(
+        (h for h in (seeded_gnm(n, 9 * n // 4, f"connected find G({n}) #{i}")
+                     for i in itertools.count()) if len(components(h)) == 1), 3)]
+
+    @pytest.mark.parametrize("g", FIND_GRAPHS, ids=lambda g: g.label)
+    def test_find_with_two_forced_members_matches_brute_force(self, g):
+        # the witness walk's probes: a forced prefix {a, b}, connected or
+        # not, completed with at most `budget` vertices above b
+        def accepted(S):
+            return is_dominating(g, S) and holds_induced(CONNECTED, g, S)
+
+        search = solver._Search(g, CONNECTED)
+        for a, b in itertools.combinations(range(g.n), 2):
+            above = range(b + 1, g.n)
+            fewest = next((k for k in range(4) for extra in itertools.combinations(above, k)
+                           if accepted(bitmask((a, b, *extra)))), None)
+            for budget in range(4):
+                hit = search.find(budget, 1 << a, b, bitmask(above))
+                assert (hit is not None) == (fewest is not None and fewest <= budget), (a, b, budget)
+                if hit is not None:
+                    extra = hit & ~bitmask((a, b))
+                    assert hit >> a & 1 and hit >> b & 1 and extra & ~bitmask(above) == 0
+                    assert extra.bit_count() <= budget and accepted(hit)
+
 
 COVER_FORMS = [ANY_GRAPH, EDGELESS, NO_ISOLATED, FOREST, CLIQUE_COMPONENTS,
                max_degree(1), max_degree(2)]
