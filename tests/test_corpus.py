@@ -93,7 +93,8 @@ def test_resolve_reads_a_pipe(tmp_path):
     finally:
         # a reader that comes and goes frees a writer still waiting for one
         os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
-        writer.join()
+        writer.join(timeout=10)
+    assert not writer.is_alive()
 
 
 def test_resolve_directory_keeps_its_own_error(tmp_path):
